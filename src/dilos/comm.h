@@ -1,14 +1,15 @@
-// DiLOS communication module (paper Sec. 4.5).
+// DiLOS communication module channels (paper Sec. 4.5).
 //
 // Shared-nothing queue assignment: each (core, module) pair gets its own
 // queue pair so a fault-handler demand fetch is never head-of-line blocked
 // behind prefetcher, manager, or guide traffic in software. (All QPs still
-// share the physical wire; Link arbitrates that.)
+// share the physical wire; Link arbitrates that.) ShardRouter
+// (src/dilos/shard.h) owns the queue pairs, one per (core, channel, node).
 #ifndef DILOS_SRC_DILOS_COMM_H_
 #define DILOS_SRC_DILOS_COMM_H_
 
-#include <array>
-#include <vector>
+#include <cstddef>
+#include <iterator>
 
 #include "src/memnode/fabric.h"
 
@@ -26,48 +27,11 @@ enum class CommChannel : uint8_t {
 // maps to "cleaner" — write-back/parity/scrub traffic, named for its
 // dominant producer.
 inline QpClass QpClassForChannel(CommChannel ch) {
-  switch (ch) {
-    case CommChannel::kFault:
-      return QpClass::kFault;
-    case CommChannel::kPrefetch:
-      return QpClass::kPrefetch;
-    case CommChannel::kManager:
-      return QpClass::kCleaner;
-    case CommChannel::kGuide:
-      return QpClass::kGuide;
-    case CommChannel::kCount:
-      break;
-  }
-  return QpClass::kOther;
+  constexpr QpClass kClass[] = {QpClass::kFault, QpClass::kPrefetch, QpClass::kCleaner,
+                                QpClass::kGuide};
+  static_assert(std::size(kClass) == static_cast<size_t>(CommChannel::kCount));
+  return kClass[static_cast<size_t>(ch)];
 }
-
-class CommModule {
- public:
-  // `shared_queue` collapses all modules onto one QP per core — the
-  // head-of-line-blocking design DiLOS avoids; kept as an ablation knob.
-  CommModule(Fabric& fabric, int num_cores, bool shared_queue = false)
-      : shared_(shared_queue) {
-    qps_.resize(static_cast<size_t>(num_cores));
-    for (auto& per_core : qps_) {
-      per_core[0] = fabric.CreateQp(0, QpClass::kFault);
-      for (size_t ch = 1; ch < per_core.size(); ++ch) {
-        per_core[ch] = shared_ ? per_core[0]
-                               : fabric.CreateQp(0, QpClassForChannel(
-                                                        static_cast<CommChannel>(ch)));
-      }
-    }
-  }
-
-  QueuePair* qp(int core, CommChannel ch) {
-    return qps_[static_cast<size_t>(core)][shared_ ? 0 : static_cast<size_t>(ch)];
-  }
-
-  int num_cores() const { return static_cast<int>(qps_.size()); }
-
- private:
-  bool shared_;
-  std::vector<std::array<QueuePair*, static_cast<size_t>(CommChannel::kCount)>> qps_;
-};
 
 }  // namespace dilos
 

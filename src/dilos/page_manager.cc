@@ -10,9 +10,9 @@ namespace dilos {
 
 PageManager::PageManager(FramePool& pool, PageTable& pt, ShardRouter& router,
                          RuntimeStats& stats, Tracer* tracer, PageManagerConfig cfg,
-                         const CostModel* cost)
+                         const CostModel* cost, size_t free_target)
     : pool_(pool), pt_(pt), router_(router), stats_(stats), tracer_(tracer), cfg_(cfg),
-      cost_(cost) {
+      cost_(cost), free_target_(free_target) {
   if (tracer_ == nullptr) {
     static Tracer null_tracer(0);
     tracer_ = &null_tracer;
@@ -731,7 +731,7 @@ void PageManager::BackgroundTick(uint64_t now, uint64_t pinned_va) {
   // Cleaner: sweep a batch of the oldest pages, writing back dirty ones so
   // the reclaimer always finds clean victims.
   size_t cleaned = 0;
-  for (auto it = lru_.begin(); it != lru_.end() && cleaned < cfg_.clean_batch; ++it) {
+  for (auto it = lru_.begin(); it != lru_.end() && cleaned < kCleanBatch; ++it) {
     Pte* e = pt_.Entry(*it, /*create=*/false);
     if (e != nullptr && PteTagOf(*e) == PteTag::kLocal && (*e & kPteDirty) &&
         (*e & kPteAccessed) == 0) {
@@ -740,7 +740,7 @@ void PageManager::BackgroundTick(uint64_t now, uint64_t pinned_va) {
     }
   }
   // Reclaimer: eagerly evict until the free target is met.
-  size_t target = cfg_.free_target;
+  size_t target = free_target_;
   size_t cap = pool_.total() / 4 + 1;
   if (target > cap) {
     target = cap;  // Never hold more than a quarter of a tiny pool free.
@@ -771,7 +771,7 @@ uint32_t PageManager::AllocFrame(Clock& clk, LatencyBreakdown* bd) {
         // fid.value() below then fails loudly rather than corrupt silently.
         break;
       }
-      uint64_t reclaim_ns = cfg_.direct_reclaim_ns;
+      uint64_t reclaim_ns = kDirectReclaimNs;
       if (stats_.tier_stored_pages != admitted_before) {
         // Direct reclaim into the tier compresses in the fault path — the
         // one place compression is charged to an application core (the

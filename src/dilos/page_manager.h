@@ -34,11 +34,12 @@
 
 namespace dilos {
 
+inline constexpr size_t kMinFreeFrames = 64;        // Least free-frame target.
+inline constexpr size_t kCleanBatch = 32;           // Dirty pages cleaned per background tick.
+inline constexpr uint64_t kDirectReclaimNs = 1800;  // Fault-path cost per direct-reclaim victim.
+
 struct PageManagerConfig {
-  size_t free_target = 64;       // Keep at least this many frames free.
-  size_t clean_batch = 32;       // Dirty pages cleaned per background tick.
   uint32_t max_vector_segs = 3;  // Longest scatter/gather vector to use.
-  uint64_t direct_reclaim_ns = 1800;  // Fault-path cost per direct-reclaim victim.
   // Background scrubber: remote pages re-read and verified per background
   // tick (0 = off). The scrubber walks every granule that ever received a
   // write-back, round-robin, re-hashing each stored replica copy against its
@@ -53,10 +54,10 @@ class PageManager {
   // replica when replication is enabled, or to the single data copy plus a
   // parity read-modify-write per parity member in EC mode. `cost` prices the
   // EC decode on the degraded old-content path (defaults to the testbed
-  // model when null).
+  // model when null). The reclaimer keeps at least `free_target` frames free.
   PageManager(FramePool& pool, PageTable& pt, ShardRouter& router, RuntimeStats& stats,
               Tracer* tracer = nullptr, PageManagerConfig cfg = {},
-              const CostModel* cost = nullptr);
+              const CostModel* cost = nullptr, size_t free_target = kMinFreeFrames);
 
   void set_guide(Guide* guide) { guide_ = guide; }
   // Arms the compressed local tier (src/tier): clock victims are compressed
@@ -164,6 +165,7 @@ class PageManager {
   std::vector<int> write_nodes_;       // Node ids matching write_qps_.
   PageManagerConfig cfg_;
   const CostModel* cost_;
+  size_t free_target_;
   Guide* guide_ = nullptr;
   CompressedTier* tier_ = nullptr;
   TenantRegistry* tenants_ = nullptr;  // Quota + residency accounting; may be null.

@@ -14,6 +14,12 @@ namespace {
 
 uint64_t PageOf(uint64_t vaddr) { return vaddr & ~static_cast<uint64_t>(kPageSize - 1); }
 
+// Free frames each core's readahead window may hold in flight.
+constexpr size_t kReadaheadFramesPerCore = 32;
+// Do not start new prefetches when free frames would drop below this
+// (prevents prefetch-driven thrash of the resident set).
+constexpr size_t kPrefetchFreeReserve = 16;
+
 }  // namespace
 
 // Causality-tracking context handed to app-aware guides at fault time.
@@ -96,19 +102,11 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
       clocks_(static_cast<size_t>(cfg.num_cores)),
       router_(fabric, cfg.num_cores, cfg.replication, cfg.shared_queue,
               cfg.recovery.spare_nodes, cfg.ec),
-      pm_(pool_, pt_, router_, stats_, &tracer_,
-          [&cfg] {
-            // Each core keeps a readahead window in flight; the eager free
-            // pool must cover all of them or prefetching self-throttles.
-            PageManagerConfig pm = cfg.pm;
-            uint64_t per_core = 32;
-            if (pm.free_target < per_core * static_cast<uint64_t>(cfg.num_cores)) {
-              pm.free_target = per_core * static_cast<uint64_t>(cfg.num_cores);
-            }
-            return pm;
-          }(),
-          &cost_),
-      tracker_(cfg.hit_tracker_window) {
+      // Each core keeps a readahead window in flight; the eager free pool
+      // must cover all of them or prefetching self-throttles.
+      pm_(pool_, pt_, router_, stats_, &tracer_, cfg.pm, &cost_,
+          std::max(kMinFreeFrames,
+                   kReadaheadFramesPerCore * static_cast<size_t>(cfg.num_cores))) {
   prefetchers_.push_back(std::move(prefetcher));
   for (int c = 1; c < cfg.num_cores; ++c) {
     prefetchers_.push_back(prefetchers_[0]->Clone());
@@ -195,9 +193,6 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
     if (flight_ != nullptr) {
       tracer_.set_sink(flight_);
     }
-    if (telemetry_->distributions() != nullptr) {
-      stats_.fault_breakdown.set_distributions(telemetry_->distributions());
-    }
     if (cfg_.telemetry.span_capacity != 0) {
       tracer_.EnableSpans(cfg_.telemetry.span_capacity);
     }
@@ -215,7 +210,6 @@ DilosRuntime::~DilosRuntime() {
     fabric_.set_metrics(nullptr);  // The fabric may outlive this runtime.
   }
   tracer_.set_sink(nullptr);
-  stats_.fault_breakdown.set_distributions(nullptr);
   if (telemetry_->config().check_invariants) {
     std::vector<std::string> violations =
         CheckStatsInvariants(stats_, /*tier_enabled=*/tier_ != nullptr);
@@ -864,7 +858,7 @@ bool DilosRuntime::StartPrefetch(uint64_t page_va, uint64_t issue_ns, int core,
   if (target.qp == nullptr) {
     return false;  // Every replica is down; the demand path will report it.
   }
-  size_t reserve = cfg_.prefetch_free_reserve;
+  size_t reserve = kPrefetchFreeReserve;
   size_t cap = pool_.total() / 8 + 1;
   if (reserve > cap) {
     reserve = cap;  // Scale the reserve down for tiny pools.
@@ -1061,10 +1055,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       }
       uint64_t done = cursor + (cfg_.tcp_emulation ? cost_.tcp_delay_ns : 0);
       AttrAdd(core, FaultPhase::kWire, done - cursor);
-      uint64_t pre_fetch_ns = clk.now();
       bd.Add(LatComp::kFetch, clk.AdvanceTo(done));
-      AttrAdd(core, FaultPhase::kOverlap,
-              pre_fetch_ns > done ? pre_fetch_ns - done : 0);
       pm_.ReleaseAction(log_idx);
       *pt_.Entry(page_va, true) =
           MakeLocalPte(frame, true) | kPteAccessed | (write ? kPteDirty : 0);

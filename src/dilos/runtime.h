@@ -61,16 +61,11 @@ struct DilosConfig {
   // reproduces blocking-mode fault counts exactly (the CI gate).
   FaultPipelineConfig fault_pipeline;
   PageManagerConfig pm;
-  // Do not start new prefetches when free frames would drop below this
-  // (prevents prefetch-driven thrash of the resident set).
-  size_t prefetch_free_reserve = 16;
-  size_t hit_tracker_window = 256;
   // Paging-event trace ring capacity (0 = tracing off).
   size_t trace_capacity = 0;
-  // Telemetry subsystem (src/telemetry): per-node fabric metrics, per-LatComp
-  // latency distributions, causal fault spans, flight recorder, invariant
-  // checks. The default (all off) changes nothing — same contract as
-  // trace_capacity == 0.
+  // Telemetry subsystem (src/telemetry): per-node fabric metrics, fault-phase
+  // attribution, causal fault spans, flight recorder, invariant checks. The
+  // default (all off) changes nothing — same contract as trace_capacity == 0.
   TelemetryConfig telemetry;
   // Multi-tenant policy layer (src/tenant): tenant namespaces + quotas,
   // per-tenant fair-share wire scheduling, and the hotness auto-migrator.

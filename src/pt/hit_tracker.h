@@ -16,7 +16,10 @@ namespace dilos {
 
 class HitTracker {
  public:
-  explicit HitTracker(size_t window = 256) : window_(window) {}
+  // Most recent prefetched pages tracked; the runtime uses the default.
+  static constexpr size_t kDefaultWindow = 256;
+
+  explicit HitTracker(size_t window = kDefaultWindow) : window_(window) {}
 
   // Registers a page that a prefetcher just requested.
   void Observe(uint64_t vaddr) {

@@ -20,10 +20,9 @@ namespace dilos {
 struct RedisBenchResult {
   uint64_t ops = 0;
   uint64_t elapsed_ns = 0;
-  // Log-bucketed (constant-memory) latency distribution. Replaced the
-  // store-every-sample PercentileRecorder: same Record/Percentile/MeanNs
-  // surface, percentiles within ~1.6% bucket width, O(#buckets) memory on
-  // million-op runs instead of 8 bytes per op.
+  // Log-bucketed (constant-memory) latency distribution: percentiles within
+  // ~1.6% bucket width, O(#buckets) memory on million-op runs instead of 8
+  // bytes per stored sample.
   LogHistogram latency;
 
   double OpsPerSec() const {

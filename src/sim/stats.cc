@@ -1,40 +1,10 @@
 #include "src/sim/stats.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdio>
-#include <numeric>
+#include <iterator>
 
 namespace dilos {
-
-std::string_view LatCompName(LatComp c) {
-  switch (c) {
-    case LatComp::kHwException:
-      return "hw-exception";
-    case LatComp::kOsHandler:
-      return "os-handler";
-    case LatComp::kSwapCacheMgmt:
-      return "swap-cache";
-    case LatComp::kPageAlloc:
-      return "page-alloc";
-    case LatComp::kSwapEntry:
-      return "swap-entry";
-    case LatComp::kFetch:
-      return "fetch-remote";
-    case LatComp::kReclaim:
-      return "reclaim";
-    case LatComp::kMap:
-      return "map";
-    case LatComp::kPrefetch:
-      return "prefetch-work";
-    case LatComp::kDecompress:
-      return "decompress";
-    case LatComp::kCount:
-      break;
-  }
-  return "?";
-}
 
 double LatencyBreakdown::TotalMeanNs() const {
   double sum = 0.0;
@@ -70,148 +40,60 @@ std::string LatencyBreakdown::ToString() const {
   return out;
 }
 
-uint64_t PercentileRecorder::Percentile(double p) const {
-  if (samples_.empty()) {
-    return 0;
-  }
-  double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  size_t idx = static_cast<size_t>(std::llround(rank));
-  idx = std::min(idx, samples_.size() - 1);
-  std::nth_element(samples_.begin(), samples_.begin() + static_cast<ptrdiff_t>(idx),
-                   samples_.end());
-  return samples_[idx];
-}
+namespace {
 
-double PercentileRecorder::MeanNs() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  unsigned __int128 sum = 0;
-  for (uint64_t s : samples_) {
-    sum += s;
-  }
-  return static_cast<double>(sum) / static_cast<double>(samples_.size());
-}
+struct CounterRow {
+  const char* name;
+  std::string_view section;
+  uint64_t RuntimeStats::*field;
+};
 
-uint64_t PercentileRecorder::MaxNs() const {
-  if (samples_.empty()) {
-    return 0;
-  }
-  return *std::max_element(samples_.begin(), samples_.end());
-}
+constexpr CounterRow kCounterRows[] = {
+#define DILOS_STATS_ROW(field, section) {#field, #section, &RuntimeStats::field},
+    DILOS_RUNTIME_STATS(DILOS_STATS_ROW)
+#undef DILOS_STATS_ROW
+};
 
-void RuntimeStats::Reset() {
-  // Whole-struct assignment covers every counter by construction — no list
-  // to keep in sync as sections grow. The distribution hook survives (the
-  // histograms it points at are owned by Telemetry and cleared here too).
-  LatencyBreakdown::Distributions* dist = fault_breakdown.distributions();
-  *this = RuntimeStats{};
-  if (dist != nullptr) {
-    for (LogHistogram& h : *dist) {
-      h.Reset();
+// ToString prints a section's run of rows as one line, so a section that
+// reappeared after another would print twice.
+constexpr bool SectionsAreContiguous() {
+  for (size_t i = 1; i < std::size(kCounterRows); ++i) {
+    if (kCounterRows[i].section == kCounterRows[i - 1].section) {
+      continue;
     }
-    fault_breakdown.set_distributions(dist);
+    for (size_t j = 0; j < i; ++j) {
+      if (kCounterRows[j].section == kCounterRows[i].section) {
+        return false;
+      }
+    }
   }
+  return true;
 }
+static_assert(SectionsAreContiguous(), "DILOS_RUNTIME_STATS: keep each section's rows adjacent");
+
+}  // namespace
 
 std::string RuntimeStats::ToString() const {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "faults: major=%llu minor=%llu zerofill=%llu | prefetch: issued=%llu "
-                "early-mapped=%llu | evict=%llu wb=%llu | bytes: in=%llu out=%llu | "
-                "subpage=%llu vectored=%llu\n",
-                static_cast<unsigned long long>(major_faults),
-                static_cast<unsigned long long>(minor_faults),
-                static_cast<unsigned long long>(zero_fill_faults),
-                static_cast<unsigned long long>(prefetch_issued),
-                static_cast<unsigned long long>(prefetch_mapped_early),
-                static_cast<unsigned long long>(evictions),
-                static_cast<unsigned long long>(writebacks),
-                static_cast<unsigned long long>(bytes_fetched),
-                static_cast<unsigned long long>(bytes_written),
-                static_cast<unsigned long long>(subpage_fetches),
-                static_cast<unsigned long long>(vectored_ops));
-  std::string out(buf);
-  if (op_timeouts != 0 || probes_sent != 0 || nodes_failed != 0 || repairs_issued != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "recovery: timeouts=%llu retries=%llu failed=%llu degraded=%llu | "
-                  "probes=%llu/%llu missed | nodes-dead=%llu | repair: %llu/%llu granules "
-                  "%llu pages %llu bytes lost=%llu\n",
-                  static_cast<unsigned long long>(op_timeouts),
-                  static_cast<unsigned long long>(fetch_retries),
-                  static_cast<unsigned long long>(failed_fetches),
-                  static_cast<unsigned long long>(degraded_reads),
-                  static_cast<unsigned long long>(probe_misses),
-                  static_cast<unsigned long long>(probes_sent),
-                  static_cast<unsigned long long>(nodes_failed),
-                  static_cast<unsigned long long>(repair_granules),
-                  static_cast<unsigned long long>(repairs_issued),
-                  static_cast<unsigned long long>(repair_pages),
-                  static_cast<unsigned long long>(repair_bytes),
-                  static_cast<unsigned long long>(repair_pages_lost));
-    out += buf;
-  }
-  if (ec_degraded_reads != 0 || ec_parity_updates != 0 || ec_reconstructed_pages != 0 ||
-      ec_decode_failures != 0 || nodes_readmitted != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "ec: degraded=%llu reconstructed=%llu decode-failed=%llu | parity: "
-                  "%llu updates %llu bytes | nodes-readmitted=%llu\n",
-                  static_cast<unsigned long long>(ec_degraded_reads),
-                  static_cast<unsigned long long>(ec_reconstructed_pages),
-                  static_cast<unsigned long long>(ec_decode_failures),
-                  static_cast<unsigned long long>(ec_parity_updates),
-                  static_cast<unsigned long long>(ec_parity_bytes),
-                  static_cast<unsigned long long>(nodes_readmitted));
-    out += buf;
-  }
-  if (checksum_mismatches != 0 || refetches != 0 || checksum_heals != 0 || scrub_pages != 0 ||
-      gray_suspects != 0 || repair_no_target != 0 || stale_copies_detected != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "integrity: mismatches=%llu wr-retries=%llu refetches=%llu heals=%llu "
-                  "stale=%llu | scrub: %llu pages %llu repairs | gray-suspects=%llu "
-                  "repair-no-target=%llu\n",
-                  static_cast<unsigned long long>(checksum_mismatches),
-                  static_cast<unsigned long long>(checksum_write_retries),
-                  static_cast<unsigned long long>(refetches),
-                  static_cast<unsigned long long>(checksum_heals),
-                  static_cast<unsigned long long>(stale_copies_detected),
-                  static_cast<unsigned long long>(scrub_pages),
-                  static_cast<unsigned long long>(scrub_repairs),
-                  static_cast<unsigned long long>(gray_suspects),
-                  static_cast<unsigned long long>(repair_no_target));
-    out += buf;
-  }
-  if (tier_hits != 0 || tier_misses != 0 || tier_stored_pages != 0 ||
-      tier_bypass_incompressible != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "tier: hits=%llu misses=%llu stored=%llu bypassed=%llu evicted=%llu "
-                  "compressed-bytes=%llu corrupt-drops=%llu\n",
-                  static_cast<unsigned long long>(tier_hits),
-                  static_cast<unsigned long long>(tier_misses),
-                  static_cast<unsigned long long>(tier_stored_pages),
-                  static_cast<unsigned long long>(tier_bypass_incompressible),
-                  static_cast<unsigned long long>(tier_evictions),
-                  static_cast<unsigned long long>(tier_compressed_bytes),
-                  static_cast<unsigned long long>(tier_corrupt_drops));
-    out += buf;
-  }
-  if (kv_guided_scans != 0 || kv_scan_prefetch_pages != 0) {
-    std::snprintf(buf, sizeof(buf), "kv: guided-scans=%llu scan-prefetched=%llu\n",
-                  static_cast<unsigned long long>(kv_guided_scans),
-                  static_cast<unsigned long long>(kv_scan_prefetch_pages));
-    out += buf;
-  }
-  if (fault_parks != 0 || fault_pipeline_stalls != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "pipeline: parks=%llu resumes=%llu batches=%llu stalls=%llu "
-                  "inflight=%llu (peak %llu)\n",
-                  static_cast<unsigned long long>(fault_parks),
-                  static_cast<unsigned long long>(fault_resumes),
-                  static_cast<unsigned long long>(fault_batched_installs),
-                  static_cast<unsigned long long>(fault_pipeline_stalls),
-                  static_cast<unsigned long long>(fault_inflight),
-                  static_cast<unsigned long long>(fault_inflight_peak));
-    out += buf;
+  std::string out;
+  for (size_t begin = 0, end = 0; begin < std::size(kCounterRows); begin = end) {
+    std::string_view section = kCounterRows[begin].section;
+    bool print = section == "paging";
+    for (end = begin; end < std::size(kCounterRows) && kCounterRows[end].section == section;
+         ++end) {
+      print = print || this->*kCounterRows[end].field != 0;
+    }
+    if (!print) {
+      continue;
+    }
+    out += section;
+    out += ':';
+    for (size_t i = begin; i < end; ++i) {
+      out += ' ';
+      out += kCounterRows[i].name;
+      out += '=';
+      out += std::to_string(this->*kCounterRows[i].field);
+    }
+    out += '\n';
   }
   return out + fault_breakdown.ToString();
 }

@@ -1,5 +1,4 @@
-// Simulation statistics: counters, per-component latency breakdowns, and a
-// percentile recorder for tail-latency tables.
+// Simulation statistics: counters and per-component latency breakdowns.
 #ifndef DILOS_SRC_SIM_STATS_H_
 #define DILOS_SRC_SIM_STATS_H_
 
@@ -8,50 +7,36 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
-#include "src/telemetry/histogram.h"
+#include "src/sim/name_table.h"
 
 namespace dilos {
 
 // Latency components attributed inside fault handlers. Used by the Fig. 1 /
-// Fig. 6 breakdown benchmarks.
-enum class LatComp : uint8_t {
-  kHwException = 0,   // Hardware exception delivery.
-  kOsHandler,         // Trap entry + handler dispatch.
-  kSwapCacheMgmt,     // (Fastswap) swap cache bookkeeping.
-  kPageAlloc,         // Page/frame allocation.
-  kSwapEntry,         // (Fastswap) swap entry + frontswap bookkeeping.
-  kFetch,             // Waiting for the remote page via RDMA.
-  kReclaim,           // In-path (direct) reclamation.
-  kMap,               // Mapping the fetched frame.
-  kPrefetch,          // Prefetch issue + hit tracker work in the fault path.
-  kDecompress,        // Expanding a compressed-tier page on a tier hit.
-  kCount,
-};
+// Fig. 6 breakdown benchmarks. X(enumerator, printed name).
+#define DILOS_LAT_COMPS(X)                                                                         \
+  X(kHwException, "hw-exception") /* Hardware exception delivery. */                               \
+  X(kOsHandler, "os-handler")     /* Trap entry + handler dispatch. */                             \
+  X(kSwapCacheMgmt, "swap-cache") /* (Fastswap) swap cache bookkeeping. */                         \
+  X(kPageAlloc, "page-alloc")     /* Page/frame allocation. */                                     \
+  X(kSwapEntry, "swap-entry")     /* (Fastswap) swap entry + frontswap bookkeeping. */             \
+  X(kFetch, "fetch-remote")       /* Waiting for the remote page via RDMA. */                      \
+  X(kReclaim, "reclaim")          /* In-path (direct) reclamation. */                              \
+  X(kMap, "map")                  /* Mapping the fetched frame. */                                 \
+  X(kPrefetch, "prefetch-work")   /* Prefetch issue + hit tracker work in the fault path. */       \
+  X(kDecompress, "decompress")    /* Expanding a compressed-tier page on a tier hit. */
 
-std::string_view LatCompName(LatComp c);
+enum class LatComp : uint8_t { DILOS_LAT_COMPS(DILOS_TABLE_ENUMERATOR) kCount };
 
-// Accumulates time per LatComp over many fault events. With a distribution
-// array installed (TelemetryConfig::latency_distributions), each Add also
-// feeds a per-component LogHistogram so tails are visible, not just means.
+inline constexpr const char* kLatCompNames[] = {DILOS_LAT_COMPS(DILOS_TABLE_NAME)};
+
+constexpr std::string_view LatCompName(LatComp c) { return TableName(kLatCompNames, c); }
+
+// Accumulates time per LatComp over many fault events.
 class LatencyBreakdown {
  public:
-  using Distributions = std::array<LogHistogram, static_cast<size_t>(LatComp::kCount)>;
-
-  void Add(LatComp c, uint64_t ns) {
-    total_ns_[static_cast<size_t>(c)] += ns;
-    if (dist_ != nullptr) {
-      (*dist_)[static_cast<size_t>(c)].Record(ns);
-    }
-  }
+  void Add(LatComp c, uint64_t ns) { total_ns_[static_cast<size_t>(c)] += ns; }
   void CountEvent() { ++events_; }
-
-  // Non-owning: the Telemetry object owns the array. A raw pointer keeps
-  // RuntimeStats trivially copyable (Reset() is whole-struct assignment, and
-  // the telemetry audit test memset-poisons an instance).
-  void set_distributions(Distributions* d) { dist_ = d; }
-  Distributions* distributions() const { return dist_; }
 
   uint64_t total_ns(LatComp c) const { return total_ns_[static_cast<size_t>(c)]; }
   uint64_t events() const { return events_; }
@@ -72,121 +57,106 @@ class LatencyBreakdown {
  private:
   std::array<uint64_t, static_cast<size_t>(LatComp::kCount)> total_ns_ = {};
   uint64_t events_ = 0;
-  Distributions* dist_ = nullptr;
 };
 
-// Stores every sample; computes exact percentiles. Intended for up to a few
-// million samples (Redis benchmark scale).
-class PercentileRecorder {
- public:
-  void Record(uint64_t ns) { samples_.push_back(ns); }
-  size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
+// Counter set shared by all far-memory runtimes, one row per counter in
+// field order: X(field, section). The field name is the printed name;
+// ToString prints one line per section, so a section's rows stay adjacent.
+#define DILOS_RUNTIME_STATS(X)                                                                     \
+  X(major_faults, paging)                /* Faults that had to fetch from the memory node. */      \
+  /* Faults resolved locally (swap cache / in-flight page). */                                     \
+  X(minor_faults, paging)                                                                          \
+  X(zero_fill_faults, paging)            /* First-touch anonymous faults (no fetch). */            \
+  X(prefetch_issued, paging)             /* Pages posted by a prefetcher. */                       \
+  X(prefetch_mapped_early, paging)       /* Prefetched pages mapped before first touch. */         \
+  X(evictions, paging)                                                                             \
+  X(writebacks, paging)                                                                            \
+  X(bytes_fetched, paging)               /* Payload bytes read from the memory node. */            \
+  X(bytes_written, paging)               /* Payload bytes written to the memory node. */           \
+  X(subpage_fetches, paging)             /* Guide-issued subpage (partial page) reads. */          \
+  X(vectored_ops, paging)                /* Scatter/gather ops issued by guided paging. */         \
+  /* --- Recovery subsystem (src/recovery) --- */                                                  \
+  X(op_timeouts, recovery)               /* RDMA ops that timed out against a node. */             \
+  X(fetch_retries, recovery)             /* Demand fetches retried after a timeout. */             \
+  X(failed_fetches, recovery)            /* Fetches with no live replica (zero-filled). */         \
+  X(degraded_reads, recovery)            /* Demand reads served by a non-primary replica. */       \
+  X(probes_sent, recovery)               /* Failure-detector heartbeats issued. */                 \
+  X(probe_misses, recovery)              /* Heartbeats that went unanswered. */                    \
+  X(nodes_failed, recovery)              /* Nodes the failure detector declared dead. */           \
+  X(repairs_issued, recovery)            /* Granule rebuilds scheduled. */                         \
+  X(repair_granules, recovery)           /* Granule rebuilds committed. */                         \
+  X(repair_pages, recovery)              /* Pages re-replicated by the repair manager. */          \
+  X(repair_bytes, recovery)              /* Repair traffic (read + write payload). */              \
+  X(repair_pages_lost, recovery)         /* Pages with no surviving readable copy. */              \
+  X(nodes_readmitted, recovery)          /* Restored nodes re-admitted as rebuilding. */           \
+  /* --- Erasure coding (src/recovery/ec.h) --- */                                                 \
+  X(ec_degraded_reads, ec)               /* Demand reads served by reconstruction. */              \
+  X(ec_reconstructed_pages, ec)          /* Pages decoded from k surviving members. */             \
+  X(ec_parity_updates, ec)               /* Parity RMW rounds on the write-back path. */           \
+  X(ec_parity_bytes, ec)                 /* Parity traffic (read + write payload). */              \
+  X(ec_decode_failures, ec)              /* Reconstructions with < k readable members. */          \
+  /* --- Integrity / chaos (src/recovery/integrity.h, fault_injector.h) --- */                     \
+  X(checksum_mismatches, integrity)      /* Page payloads that failed verification. */             \
+  X(checksum_write_retries, integrity)   /* Write-backs re-posted after the target-side check. */  \
+  X(refetches, integrity)                /* Demand reads re-issued after a mismatch. */            \
+  X(checksum_heals, integrity)           /* Corrupt stored copies rewritten from a good one. */    \
+  X(scrub_pages, integrity)              /* Remote pages verified by the scrubber. */              \
+  X(scrub_repairs, integrity)            /* Latent corruptions the scrubber repaired. */           \
+  X(gray_suspects, integrity)            /* Gray-failure (latency EWMA) suspicions raised. */      \
+  X(repair_no_target, integrity)         /* Degraded granules with no legal rebuild target. */     \
+  /* Verified-but-stale copies caught by generation tags. */                                       \
+  X(stale_copies_detected, integrity)                                                              \
+  /* --- Compressed local tier (src/tier) --- */                                                   \
+  X(tier_hits, tier)                     /* Faults served by local decompression. */               \
+  X(tier_misses, tier)                   /* Faults that went remote with the tier enabled. */      \
+  X(tier_stored_pages, tier)             /* Pages admitted into the tier (cumulative). */          \
+  X(tier_bypass_incompressible, tier)    /* Evictions too dense for the tier. */                   \
+  X(tier_evictions, tier)                /* Tier-pressure evictions pushed remote. */              \
+  X(tier_compressed_bytes, tier)         /* Compressed payload bytes admitted. */                  \
+  X(tier_corrupt_drops, tier)            /* Blobs that failed decompression, dropped. */           \
+  /* --- Live migration / drain (src/recovery/migration.h) --- */                                  \
+  X(migrations_started, migration)       /* Granule migrations that entered the copy phase. */     \
+  X(migrations_committed, migration)     /* Migrations whose cutover committed. */                 \
+  X(migrations_rolled_back, migration)   /* Migrations aborted and rolled back pre-commit. */      \
+  /* Gauge: migrations neither committed nor rolled back. */                                       \
+  X(migrations_inflight, migration)                                                                \
+  X(migration_pages, migration)          /* Pages copied by the migration manager. */              \
+  X(migration_bytes, migration)          /* Migration traffic (read + write payload). */           \
+  X(migration_reships, migration)        /* Dirty pages re-shipped by the catch-up pass. */        \
+  X(migration_forwards, migration)       /* Reads redirected by a forwarding window. */            \
+  X(migration_failbacks, migration)      /* Committed cutovers undone (target died in-window). */  \
+  X(nodes_drained, migration)            /* Nodes fully emptied and retired by DrainNode. */       \
+  X(ec_colocated_placements, migration)  /* EC rebuilds placed with bounded stripe co-location. */ \
+  X(readmit_copies_merged, migration)    /* Orphaned fresh-by-generation copies merged back. */    \
+  X(readmit_orphans_dropped, migration)  /* Orphaned stale copies dropped on readmission. */       \
+  X(fault_retries_suppressed, migration) /* Demand retries skipped by the retry budget. */         \
+  /* --- Multi-tenant policy layer (src/tenant) --- */                                             \
+  X(tenant_quota_rejects, tenant)        /* Write-backs refused on a quota breach. */              \
+  X(tenant_quota_reclaims, tenant)       /* Own-coldest remote drops made for quota room. */       \
+  X(hotness_migrations, tenant)          /* Migrations started by the hotness monitor. */          \
+  /* --- KV service (src/kv) --- */                                                                \
+  X(kv_guided_scans, kv)                 /* Range scans that ran with a scan guide installed. */   \
+  X(kv_scan_prefetch_pages, kv)          /* Leaf pages prefetched by scan guidance. */             \
+  /* --- Async fault pipeline (src/sim/fiber.h, DESIGN.md §12) --- */                              \
+  X(fault_parks, pipeline)               /* Demand faults that parked a fiber. */                  \
+  X(fault_resumes, pipeline)             /* Parked fibers resumed by a harvest. */                 \
+  X(fault_batched_installs, pipeline)    /* Harvest batches committed (1 TLB flush each). */       \
+  X(fault_pipeline_stalls, pipeline)     /* Handler waits forced by the depth limit. */            \
+  X(fault_inflight, pipeline)            /* Gauge: currently parked demand faults. */              \
+  X(fault_inflight_peak, pipeline)       /* High-water mark of fault_inflight. */
 
-  // Exact p-th percentile (p in [0,100]) by nearest-rank; 0 when empty.
-  uint64_t Percentile(double p) const;
-  double MeanNs() const;
-  uint64_t MaxNs() const;
-
-  void Reset() { samples_.clear(); }
-
- private:
-  mutable std::vector<uint64_t> samples_;
-};
-
-// Counter set shared by all far-memory runtimes.
 struct RuntimeStats {
-  uint64_t major_faults = 0;      // Faults that had to fetch from the memory node.
-  uint64_t minor_faults = 0;      // Faults resolved locally (swap cache / in-flight page).
-  uint64_t zero_fill_faults = 0;  // First-touch anonymous faults (no fetch).
-  uint64_t prefetch_issued = 0;   // Pages posted by a prefetcher.
-  uint64_t prefetch_mapped_early = 0;  // Prefetched pages mapped before first touch.
-  uint64_t evictions = 0;
-  uint64_t writebacks = 0;
-  uint64_t bytes_fetched = 0;   // Payload bytes read from the memory node.
-  uint64_t bytes_written = 0;   // Payload bytes written to the memory node.
-  uint64_t subpage_fetches = 0;  // Guide-issued subpage (partial page) reads.
-  uint64_t vectored_ops = 0;     // Scatter/gather ops issued by guided paging.
-
-  // --- Recovery subsystem (src/recovery) -----------------------------------
-  uint64_t op_timeouts = 0;        // RDMA ops that timed out against a node.
-  uint64_t fetch_retries = 0;      // Demand fetches retried after a timeout.
-  uint64_t failed_fetches = 0;     // Fetches with no live replica (zero-filled).
-  uint64_t degraded_reads = 0;     // Demand reads served by a non-primary replica.
-  uint64_t probes_sent = 0;        // Failure-detector heartbeats issued.
-  uint64_t probe_misses = 0;       // Heartbeats that went unanswered.
-  uint64_t nodes_failed = 0;       // Nodes the failure detector declared dead.
-  uint64_t repairs_issued = 0;     // Granule rebuilds scheduled.
-  uint64_t repair_granules = 0;    // Granule rebuilds committed.
-  uint64_t repair_pages = 0;       // Pages re-replicated by the repair manager.
-  uint64_t repair_bytes = 0;       // Repair traffic (read + write payload).
-  uint64_t repair_pages_lost = 0;  // Pages with no surviving readable copy.
-  uint64_t nodes_readmitted = 0;   // Restored nodes re-admitted as rebuilding.
-
-  // --- Erasure coding (src/recovery/ec.h) -----------------------------------
-  uint64_t ec_degraded_reads = 0;       // Demand reads served by reconstruction.
-  uint64_t ec_reconstructed_pages = 0;  // Pages decoded from k surviving members.
-  uint64_t ec_parity_updates = 0;       // Parity RMW rounds on the write-back path.
-  uint64_t ec_parity_bytes = 0;         // Parity traffic (read + write payload).
-  uint64_t ec_decode_failures = 0;      // Reconstructions with < k readable members.
-
-  // --- Integrity / chaos (src/recovery/integrity.h, fault_injector.h) -------
-  uint64_t checksum_mismatches = 0;    // Page payloads that failed verification.
-  uint64_t checksum_write_retries = 0; // Write-backs re-posted after the target-side check.
-  uint64_t refetches = 0;              // Demand reads re-issued after a mismatch.
-  uint64_t checksum_heals = 0;         // Corrupt stored copies rewritten from a good one.
-  uint64_t scrub_pages = 0;            // Remote pages verified by the scrubber.
-  uint64_t scrub_repairs = 0;          // Latent corruptions the scrubber repaired.
-  uint64_t gray_suspects = 0;          // Gray-failure (latency EWMA) suspicions raised.
-  uint64_t repair_no_target = 0;       // Degraded granules with no legal rebuild target.
-  uint64_t stale_copies_detected = 0;  // Verified-but-stale copies caught by generation tags.
-
-  // --- Compressed local tier (src/tier) --------------------------------------
-  uint64_t tier_hits = 0;    // Faults served by local decompression.
-  uint64_t tier_misses = 0;  // Faults that went remote with the tier enabled.
-  uint64_t tier_stored_pages = 0;           // Pages admitted into the tier (cumulative).
-  uint64_t tier_bypass_incompressible = 0;  // Evictions too dense for the tier.
-  uint64_t tier_evictions = 0;              // Tier-pressure evictions pushed remote.
-  uint64_t tier_compressed_bytes = 0;       // Compressed payload bytes admitted.
-  uint64_t tier_corrupt_drops = 0;          // Blobs that failed decompression, dropped.
-
-  // --- Live migration / drain (src/recovery/migration.h) ---------------------
-  uint64_t migrations_started = 0;      // Granule migrations that entered the copy phase.
-  uint64_t migrations_committed = 0;    // Migrations whose cutover committed.
-  uint64_t migrations_rolled_back = 0;  // Migrations aborted and rolled back pre-commit.
-  uint64_t migrations_inflight = 0;     // Gauge: migrations neither committed nor rolled back.
-  uint64_t migration_pages = 0;         // Pages copied by the migration manager.
-  uint64_t migration_bytes = 0;         // Migration traffic (read + write payload).
-  uint64_t migration_reships = 0;       // Dirty pages re-shipped by the catch-up pass.
-  uint64_t migration_forwards = 0;      // Reads redirected by a forwarding window.
-  uint64_t migration_failbacks = 0;     // Committed cutovers undone (target died in-window).
-  uint64_t nodes_drained = 0;           // Nodes fully emptied and retired by DrainNode.
-  uint64_t ec_colocated_placements = 0; // EC rebuilds placed with bounded stripe co-location.
-  uint64_t readmit_copies_merged = 0;   // Orphaned fresh-by-generation copies merged back.
-  uint64_t readmit_orphans_dropped = 0; // Orphaned stale copies dropped on readmission.
-  uint64_t fault_retries_suppressed = 0; // Demand retries skipped by the retry budget.
-
-  // --- Multi-tenant policy layer (src/tenant) ---------------------------------
-  uint64_t tenant_quota_rejects = 0;   // Write-backs refused on a quota breach.
-  uint64_t tenant_quota_reclaims = 0;  // Own-coldest remote drops made for quota room.
-  uint64_t hotness_migrations = 0;     // Migrations started by the hotness monitor.
-
-  // --- KV service (src/kv) ----------------------------------------------------
-  uint64_t kv_guided_scans = 0;        // Range scans that ran with a scan guide installed.
-  uint64_t kv_scan_prefetch_pages = 0; // Leaf pages prefetched by scan guidance.
-
-  // --- Async fault pipeline (src/sim/fiber.h, DESIGN.md §12) ------------------
-  uint64_t fault_parks = 0;             // Demand faults that parked a fiber.
-  uint64_t fault_resumes = 0;           // Parked fibers resumed by a harvest.
-  uint64_t fault_batched_installs = 0;  // Harvest batches committed (1 TLB flush each).
-  uint64_t fault_pipeline_stalls = 0;   // Handler waits forced by the depth limit.
-  uint64_t fault_inflight = 0;          // Gauge: currently parked demand faults.
-  uint64_t fault_inflight_peak = 0;     // High-water mark of fault_inflight.
+#define DILOS_STATS_FIELD(field, section) uint64_t field = 0;
+  DILOS_RUNTIME_STATS(DILOS_STATS_FIELD)
+#undef DILOS_STATS_FIELD
 
   LatencyBreakdown fault_breakdown;
 
   uint64_t total_faults() const { return major_faults + minor_faults + zero_fill_faults; }
-  void Reset();
+  // Whole-struct assignment: covers every counter by construction.
+  void Reset() { *this = RuntimeStats{}; }
+  // One `section: field=value ...` line per section with a nonzero counter
+  // (the paging section always prints), then the fault breakdown.
   std::string ToString() const;
 };
 

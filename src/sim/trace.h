@@ -23,159 +23,109 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/name_table.h"
+
 namespace dilos {
 
-enum class TraceEvent : uint8_t {
-  kMajorFault,
-  kMinorFault,
-  kZeroFill,
-  kPrefetchIssue,
-  kEvict,
-  kWriteback,
-  kActionFetch,
-  // Recovery subsystem (src/recovery): detail carries the node id.
-  kOpTimeout,     // An RDMA op timed out against an unreachable node.
-  kProbeMiss,     // A failure-detector heartbeat went unanswered.
-  kNodeSuspect,   // Detector moved a node to the suspect state.
-  kNodeDead,      // Detector declared a node dead.
-  kRepairStart,   // Repair of one under-replicated granule scheduled.
-  kRepairDone,    // Granule restored to full replication (remap committed).
-  kDegradedRead,  // Demand read served by a non-primary replica.
-  // Erasure coding (src/recovery/ec.h).
-  kParityUpdate,    // Cleaner RMW'd a stripe's parity members for one page.
-  kEcReconstruct,   // A page was decoded from k surviving stripe members.
-  kNodeReadmitted,  // Detector re-admitted a restored node as rebuilding.
-  // Integrity / chaos (src/recovery/integrity.h): detail is 0 for a read-
-  // side mismatch, 1 for a write-side (ICRC-analog) one, node id otherwise.
-  kChecksumMismatch,  // A page payload failed checksum verification.
-  kChecksumHeal,      // A corrupt stored copy was rewritten from a good one.
-  kScrubRepair,       // The background scrubber repaired latent corruption.
-  kGraySuspect,       // Latency EWMA marked an alive-but-slow node suspect.
-  kGrayClear,         // A gray-suspected node's latency recovered.
-  kRepairNoTarget,    // A degraded granule found no legal rebuild target.
-  // Compressed local tier (src/tier).
-  kTierHit,      // Fault served by local decompression (detail: 1 if dirty).
-  kTierAdmit,    // Evicted page compressed into the tier (detail: csize).
-  kTierEvict,    // Tier pressure pushed a compressed page remote.
-  kTierCorrupt,  // A blob failed decompression and was dropped (content lost).
-  // Write-generation staleness (src/recovery/integrity.h): a verified-but-
-  // stale copy (missed write-backs behind a partition) was detected and
-  // bypassed. detail carries the node id.
-  kStaleCopy,
-  // KV service (src/kv): page_va is the first planned leaf page.
-  kKvScan,          // A guided range scan began (detail: planned leaf count).
-  kKvScanPrefetch,  // Leaves prefetched for a scan (detail: page count).
-  // Live migration / drain (src/recovery/migration.h): page_va is the
-  // granule base; detail carries the node id unless noted.
-  kMigrateStart,    // A granule migration entered the copy phase (detail: target).
-  kMigrateCommit,   // Cutover committed; the forwarding window opened (detail: target).
-  kMigrateAbort,    // Migration rolled back pre-commit (detail: target).
-  kMigrateForward,  // A read that raced the remap was redirected (detail: new node).
-  kMigrateFailback, // Target died inside the window; source restored (detail: target).
-  kNodeDraining,    // DrainNode marked a node draining (page_va unused).
-  kNodeDrained,     // A drained node was emptied and retired (page_va unused).
-  kReadmitMerge,    // A fresh orphaned copy rejoined the replica set on readmission.
-  kReadmitOrphanDrop,  // A stale orphaned copy was dropped on readmission.
-  kEcCoLocated,     // An EC rebuild target shares a node with another stripe member.
-  kTenantQuotaReject,   // A write-back was refused on a tenant quota breach.
-  kTenantQuotaReclaim,  // A tenant's own coldest remote page was dropped for quota room.
-  kHotnessMigrate,  // The hotness monitor started a migration (detail: hot<<8|cold).
-  kSloBreach,       // A tenant's SLO burn-rate alert fired (detail: tenant id).
-};
+// Paging events, one row per event: X(enumerator, printed name).
+#define DILOS_TRACE_EVENTS(X)                                                                      \
+  X(kMajorFault, "major-fault")                                                                    \
+  X(kMinorFault, "minor-fault")                                                                    \
+  X(kZeroFill, "zero-fill")                                                                        \
+  X(kPrefetchIssue, "prefetch")                                                                    \
+  X(kEvict, "evict")                                                                               \
+  X(kWriteback, "writeback")                                                                       \
+  X(kActionFetch, "action-fetch")                                                                  \
+  /* --- Recovery subsystem (src/recovery): detail carries the node id. */                         \
+  /* An RDMA op timed out against an unreachable node. */                                          \
+  X(kOpTimeout, "op-timeout")                                                                      \
+  /* A failure-detector heartbeat went unanswered. */                                              \
+  X(kProbeMiss, "probe-miss")                                                                      \
+  /* Detector moved a node to the suspect state. */                                                \
+  X(kNodeSuspect, "node-suspect")                                                                  \
+  /* Detector declared a node dead. */                                                             \
+  X(kNodeDead, "node-dead")                                                                        \
+  /* Repair of one under-replicated granule scheduled. */                                          \
+  X(kRepairStart, "repair-start")                                                                  \
+  /* Granule restored to full replication (remap committed). */                                    \
+  X(kRepairDone, "repair-done")                                                                    \
+  /* Demand read served by a non-primary replica. */                                               \
+  X(kDegradedRead, "degraded-read")                                                                \
+  /* --- Erasure coding (src/recovery/ec.h). */                                                    \
+  /* Cleaner RMW'd a stripe's parity members for one page. */                                      \
+  X(kParityUpdate, "parity-update")                                                                \
+  /* A page was decoded from k surviving stripe members. */                                        \
+  X(kEcReconstruct, "ec-reconstruct")                                                              \
+  /* Detector re-admitted a restored node as rebuilding. */                                        \
+  X(kNodeReadmitted, "node-readmit")                                                               \
+  /* --- Integrity / chaos (src/recovery/integrity.h): detail is 0 for a read- */                  \
+  /* side mismatch, 1 for a write-side (ICRC-analog) one, node id otherwise. */                    \
+  /* A page payload failed checksum verification. */                                               \
+  X(kChecksumMismatch, "checksum-mismatch")                                                        \
+  /* A corrupt stored copy was rewritten from a good one. */                                       \
+  X(kChecksumHeal, "checksum-heal")                                                                \
+  /* The background scrubber repaired latent corruption. */                                        \
+  X(kScrubRepair, "scrub-repair")                                                                  \
+  /* Latency EWMA marked an alive-but-slow node suspect. */                                        \
+  X(kGraySuspect, "gray-suspect")                                                                  \
+  /* A gray-suspected node's latency recovered. */                                                 \
+  X(kGrayClear, "gray-clear")                                                                      \
+  /* A degraded granule found no legal rebuild target. */                                          \
+  X(kRepairNoTarget, "repair-no-target")                                                           \
+  /* --- Compressed local tier (src/tier). */                                                      \
+  /* Fault served by local decompression (detail: 1 if dirty). */                                  \
+  X(kTierHit, "tier-hit")                                                                          \
+  /* Evicted page compressed into the tier (detail: csize). */                                     \
+  X(kTierAdmit, "tier-admit")                                                                      \
+  /* Tier pressure pushed a compressed page remote. */                                             \
+  X(kTierEvict, "tier-evict")                                                                      \
+  /* A blob failed decompression and was dropped (content lost). */                                \
+  X(kTierCorrupt, "tier-corrupt")                                                                  \
+  /* --- Write-generation staleness (src/recovery/integrity.h): a verified-but- */                 \
+  /* stale copy (missed write-backs behind a partition) was detected and */                        \
+  /* bypassed. detail carries the node id. */                                                      \
+  X(kStaleCopy, "stale-copy")                                                                      \
+  /* --- KV service (src/kv): page_va is the first planned leaf page. */                           \
+  /* A guided range scan began (detail: planned leaf count). */                                    \
+  X(kKvScan, "kv-scan")                                                                            \
+  /* Leaves prefetched for a scan (detail: page count). */                                         \
+  X(kKvScanPrefetch, "kv-scan-prefetch")                                                           \
+  /* --- Live migration / drain (src/recovery/migration.h): page_va is the */                      \
+  /* granule base; detail carries the node id unless noted. */                                     \
+  /* A granule migration entered the copy phase (detail: target). */                               \
+  X(kMigrateStart, "migrate-start")                                                                \
+  /* Cutover committed; the forwarding window opened (detail: target). */                          \
+  X(kMigrateCommit, "migrate-commit")                                                              \
+  /* Migration rolled back pre-commit (detail: target). */                                         \
+  X(kMigrateAbort, "migrate-abort")                                                                \
+  /* A read that raced the remap was redirected (detail: new node). */                             \
+  X(kMigrateForward, "migrate-forward")                                                            \
+  /* Target died inside the window; source restored (detail: target). */                           \
+  X(kMigrateFailback, "migrate-failback")                                                          \
+  /* DrainNode marked a node draining (page_va unused). */                                         \
+  X(kNodeDraining, "node-draining")                                                                \
+  /* A drained node was emptied and retired (page_va unused). */                                   \
+  X(kNodeDrained, "node-drained")                                                                  \
+  /* A fresh orphaned copy rejoined the replica set on readmission. */                             \
+  X(kReadmitMerge, "readmit-merge")                                                                \
+  /* A stale orphaned copy was dropped on readmission. */                                          \
+  X(kReadmitOrphanDrop, "readmit-orphan-drop")                                                     \
+  /* An EC rebuild target shares a node with another stripe member. */                             \
+  X(kEcCoLocated, "ec-colocated")                                                                  \
+  /* A write-back was refused on a tenant quota breach. */                                         \
+  X(kTenantQuotaReject, "tenant-quota-reject")                                                     \
+  /* A tenant's own coldest remote page was dropped for quota room. */                             \
+  X(kTenantQuotaReclaim, "tenant-quota-reclaim")                                                   \
+  /* The hotness monitor started a migration (detail: hot<<8|cold). */                             \
+  X(kHotnessMigrate, "hotness-migrate")                                                            \
+  /* A tenant's SLO burn-rate alert fired (detail: tenant id). */                                  \
+  X(kSloBreach, "slo-breach")
 
-inline const char* TraceEventName(TraceEvent e) {
-  switch (e) {
-    case TraceEvent::kMajorFault:
-      return "major-fault";
-    case TraceEvent::kMinorFault:
-      return "minor-fault";
-    case TraceEvent::kZeroFill:
-      return "zero-fill";
-    case TraceEvent::kPrefetchIssue:
-      return "prefetch";
-    case TraceEvent::kEvict:
-      return "evict";
-    case TraceEvent::kWriteback:
-      return "writeback";
-    case TraceEvent::kActionFetch:
-      return "action-fetch";
-    case TraceEvent::kOpTimeout:
-      return "op-timeout";
-    case TraceEvent::kProbeMiss:
-      return "probe-miss";
-    case TraceEvent::kNodeSuspect:
-      return "node-suspect";
-    case TraceEvent::kNodeDead:
-      return "node-dead";
-    case TraceEvent::kRepairStart:
-      return "repair-start";
-    case TraceEvent::kRepairDone:
-      return "repair-done";
-    case TraceEvent::kDegradedRead:
-      return "degraded-read";
-    case TraceEvent::kParityUpdate:
-      return "parity-update";
-    case TraceEvent::kEcReconstruct:
-      return "ec-reconstruct";
-    case TraceEvent::kNodeReadmitted:
-      return "node-readmit";
-    case TraceEvent::kChecksumMismatch:
-      return "checksum-mismatch";
-    case TraceEvent::kChecksumHeal:
-      return "checksum-heal";
-    case TraceEvent::kScrubRepair:
-      return "scrub-repair";
-    case TraceEvent::kGraySuspect:
-      return "gray-suspect";
-    case TraceEvent::kGrayClear:
-      return "gray-clear";
-    case TraceEvent::kRepairNoTarget:
-      return "repair-no-target";
-    case TraceEvent::kTierHit:
-      return "tier-hit";
-    case TraceEvent::kTierAdmit:
-      return "tier-admit";
-    case TraceEvent::kTierEvict:
-      return "tier-evict";
-    case TraceEvent::kTierCorrupt:
-      return "tier-corrupt";
-    case TraceEvent::kStaleCopy:
-      return "stale-copy";
-    case TraceEvent::kKvScan:
-      return "kv-scan";
-    case TraceEvent::kKvScanPrefetch:
-      return "kv-scan-prefetch";
-    case TraceEvent::kMigrateStart:
-      return "migrate-start";
-    case TraceEvent::kMigrateCommit:
-      return "migrate-commit";
-    case TraceEvent::kMigrateAbort:
-      return "migrate-abort";
-    case TraceEvent::kMigrateForward:
-      return "migrate-forward";
-    case TraceEvent::kMigrateFailback:
-      return "migrate-failback";
-    case TraceEvent::kNodeDraining:
-      return "node-draining";
-    case TraceEvent::kNodeDrained:
-      return "node-drained";
-    case TraceEvent::kReadmitMerge:
-      return "readmit-merge";
-    case TraceEvent::kReadmitOrphanDrop:
-      return "readmit-orphan-drop";
-    case TraceEvent::kEcCoLocated:
-      return "ec-colocated";
-    case TraceEvent::kTenantQuotaReject:
-      return "tenant-quota-reject";
-    case TraceEvent::kTenantQuotaReclaim:
-      return "tenant-quota-reclaim";
-    case TraceEvent::kHotnessMigrate:
-      return "hotness-migrate";
-    case TraceEvent::kSloBreach:
-      return "slo-breach";
-  }
-  return "?";
-}
+enum class TraceEvent : uint8_t { DILOS_TRACE_EVENTS(DILOS_TABLE_ENUMERATOR) kCount };
+
+inline constexpr const char* kTraceEventNames[] = {DILOS_TRACE_EVENTS(DILOS_TABLE_NAME)};
+
+constexpr const char* TraceEventName(TraceEvent e) { return TableName(kTraceEventNames, e); }
 
 struct TraceRecord {
   uint64_t time_ns = 0;
@@ -194,46 +144,26 @@ class TraceSink {
   virtual void OnTrace(const TraceRecord& r) = 0;
 };
 
-// Span kinds on the fault path. A kFault span is the root; everything the
-// runtime does to resolve that fault opens a child span under it.
-enum class SpanKind : uint8_t {
-  kFault = 0,       // Demand fault, entry to map (root).
-  kFetchAttempt,    // One remote read attempt against one replica.
-  kRetryBackoff,    // Exponential-backoff wait between attempts.
-  kEcDecode,        // EC reconstruction from k surviving members.
-  kTierDecompress,  // Local compressed-tier hit expansion.
-  kHeal,            // Checksum heal rewrite of a corrupt stored copy.
-  kFaultPark,       // Fiber parked: read posted, core released (pipeline).
-  kFaultResume,     // Harvest batch: coalesced poll + batched PTE install.
-  kMigrateGranule,  // One granule's copy -> freeze -> remap -> forward lifetime.
-  kCount,
-};
+// Span kinds on the fault path, one row per kind: X(enumerator, printed
+// name). A kFault span is the root; everything the runtime does to resolve
+// that fault opens a child span under it.
+#define DILOS_SPAN_KINDS(X)                                                                        \
+  X(kFault, "fault")                    /* Demand fault, entry to map (root). */                   \
+  X(kFetchAttempt, "fetch-attempt")     /* One remote read attempt against one replica. */         \
+  X(kRetryBackoff, "retry-backoff")     /* Exponential-backoff wait between attempts. */           \
+  X(kEcDecode, "ec-decode")             /* EC reconstruction from k surviving members. */          \
+  X(kTierDecompress, "tier-decompress") /* Local compressed-tier hit expansion. */                 \
+  X(kHeal, "heal")                      /* Checksum heal rewrite of a corrupt stored copy. */      \
+  X(kFaultPark, "fault-park")           /* Fiber parked: read posted, core released (pipeline). */ \
+  X(kFaultResume, "fault-resume")       /* Harvest batch: coalesced poll + batched PTE install. */ \
+  /* One granule's copy -> freeze -> remap -> forward lifetime. */                                 \
+  X(kMigrateGranule, "migrate-granule")
 
-inline const char* SpanKindName(SpanKind k) {
-  switch (k) {
-    case SpanKind::kFault:
-      return "fault";
-    case SpanKind::kFetchAttempt:
-      return "fetch-attempt";
-    case SpanKind::kRetryBackoff:
-      return "retry-backoff";
-    case SpanKind::kEcDecode:
-      return "ec-decode";
-    case SpanKind::kTierDecompress:
-      return "tier-decompress";
-    case SpanKind::kHeal:
-      return "heal";
-    case SpanKind::kFaultPark:
-      return "fault-park";
-    case SpanKind::kFaultResume:
-      return "fault-resume";
-    case SpanKind::kMigrateGranule:
-      return "migrate-granule";
-    case SpanKind::kCount:
-      break;
-  }
-  return "?";
-}
+enum class SpanKind : uint8_t { DILOS_SPAN_KINDS(DILOS_TABLE_ENUMERATOR) kCount };
+
+inline constexpr const char* kSpanKindNames[] = {DILOS_SPAN_KINDS(DILOS_TABLE_NAME)};
+
+constexpr const char* SpanKindName(SpanKind k) { return TableName(kSpanKindNames, k); }
 
 struct SpanRecord {
   uint64_t begin_ns = 0;

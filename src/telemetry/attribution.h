@@ -32,69 +32,59 @@
 #include <cstdio>
 #include <string>
 
+#include "src/sim/name_table.h"
 #include "src/telemetry/histogram.h"
 
 namespace dilos {
 
-// Where a demand fault spends its nanoseconds. On-path phases tile
-// [fault entry, fault completion] exactly; see FaultPhaseOnPath.
-enum class FaultPhase : uint8_t {
-  kHandler = 0,  // HW exception + OS trap + PTE walk/check + map/install CPU work's
-                 // handler-side share (charged once per handler entry; a re-entered
-                 // fault — e.g. tier-corrupt fallback — charges it again).
-  kAlloc,        // Frame allocation, including any reclaim/write-back it triggers.
-  kLaneWait,     // Fair-share scheduler lane queueing at QueuePair::PostSend
-                 // (zero under the plain FIFO link's uncontended path).
-  kWire,         // Fabric propagation + link occupancy + TCP emulation delay.
-  kBackoff,      // Demand-retry backoff after a timed-out fetch attempt.
-  kEcDecode,     // Degraded read: k-survivor reads + Cauchy matrix solve.
-  kDecompress,   // Compressed-tier hit: blob decode into the frame.
-  kOverlap,      // Blocking path only: prefetch-issue / guide / tracker work that
-                 // spilled past fetch completion (work the fetch could not hide).
-  kPark,         // Pipelined path: fiber parked awaiting completion + harvest queue.
-  kMap,          // PTE install + TLB shootdown (+ fiber resume on the pipeline).
-  kStall,        // OFF-PATH: depth-limit stall waiting on the oldest parked fiber.
-  kHeal,         // OFF-PATH: checksum heal-in-place posted without advancing the fault.
-  kCount,
-};
+// Where a demand fault spends its nanoseconds, one row per phase:
+// X(enumerator, printed name, on-path). On-path phases tile [fault entry,
+// fault completion] exactly; see FaultPhaseOnPath.
+#define DILOS_FAULT_PHASES(X)                                                                      \
+  /* HW exception + OS trap + PTE walk/check + map/install CPU work's handler-side */              \
+  /* share (charged once per handler entry; a re-entered fault — e.g. tier-corrupt */              \
+  /* fallback — charges it again). */                                                              \
+  X(kHandler, "handler", true)                                                                     \
+  /* Frame allocation, including any reclaim/write-back it triggers. */                            \
+  X(kAlloc, "alloc", true)                                                                         \
+  /* Fair-share scheduler lane queueing at QueuePair::PostSend (zero under the plain */            \
+  /* FIFO link's uncontended path). */                                                             \
+  X(kLaneWait, "lane-wait", true)                                                                  \
+  /* Fabric propagation + link occupancy + TCP emulation delay. */                                 \
+  X(kWire, "wire", true)                                                                           \
+  /* Demand-retry backoff after a timed-out fetch attempt. */                                      \
+  X(kBackoff, "backoff", true)                                                                     \
+  /* Degraded read: k-survivor reads + Cauchy matrix solve. */                                     \
+  X(kEcDecode, "ec-decode", true)                                                                  \
+  /* Compressed-tier hit: blob decode into the frame. */                                           \
+  X(kDecompress, "decompress", true)                                                               \
+  /* Blocking path only: prefetch-issue / guide / tracker work that spilled past */                \
+  /* fetch completion (work the fetch could not hide). */                                          \
+  X(kOverlap, "overlap", true)                                                                     \
+  /* Pipelined path: fiber parked awaiting completion + harvest queue. */                          \
+  X(kPark, "park", true)                                                                           \
+  /* PTE install + TLB shootdown (+ fiber resume on the pipeline). */                              \
+  X(kMap, "map", true)                                                                             \
+  /* OFF-PATH: depth-limit stall waiting on the oldest parked fiber. */                            \
+  X(kStall, "stall", false)                                                                        \
+  /* OFF-PATH: checksum heal-in-place posted without advancing the fault. */                       \
+  X(kHeal, "heal", false)
+
+enum class FaultPhase : uint8_t { DILOS_FAULT_PHASES(DILOS_TABLE_ENUMERATOR) kCount };
 
 constexpr size_t kFaultPhaseCount = static_cast<size_t>(FaultPhase::kCount);
 
-constexpr const char* FaultPhaseName(FaultPhase p) {
-  switch (p) {
-    case FaultPhase::kHandler:
-      return "handler";
-    case FaultPhase::kAlloc:
-      return "alloc";
-    case FaultPhase::kLaneWait:
-      return "lane-wait";
-    case FaultPhase::kWire:
-      return "wire";
-    case FaultPhase::kBackoff:
-      return "backoff";
-    case FaultPhase::kEcDecode:
-      return "ec-decode";
-    case FaultPhase::kDecompress:
-      return "decompress";
-    case FaultPhase::kOverlap:
-      return "overlap";
-    case FaultPhase::kPark:
-      return "park";
-    case FaultPhase::kMap:
-      return "map";
-    case FaultPhase::kStall:
-      return "stall";
-    case FaultPhase::kHeal:
-      return "heal";
-    case FaultPhase::kCount:
-      break;
-  }
-  return "?";
-}
+inline constexpr const char* kFaultPhaseNames[] = {DILOS_FAULT_PHASES(DILOS_TABLE_NAME)};
+#define DILOS_FAULT_PHASE_ON_PATH(id, name, on_path) on_path,
+inline constexpr bool kFaultPhaseOnPath[] = {DILOS_FAULT_PHASES(DILOS_FAULT_PHASE_ON_PATH)};
+#undef DILOS_FAULT_PHASE_ON_PATH
+
+constexpr const char* FaultPhaseName(FaultPhase p) { return TableName(kFaultPhaseNames, p); }
 
 // True for phases that participate in the sum-equals-latency invariant.
 constexpr bool FaultPhaseOnPath(FaultPhase p) {
-  return p != FaultPhase::kStall && p != FaultPhase::kHeal;
+  auto i = static_cast<size_t>(p);
+  return i < kFaultPhaseCount && kFaultPhaseOnPath[i];
 }
 
 // One fault's phase vector. Owned by the runtime's per-core fault scope (or
@@ -176,20 +166,7 @@ class FaultAttribution {
 
   // The on-path phase holding the most total time for `tenant` — the answer
   // to "why is this tenant's p99 high".
-  FaultPhase TopContributor(int tenant) const {
-    size_t b = Bucket(tenant);
-    FaultPhase top = FaultPhase::kWire;
-    uint64_t best = 0;
-    for (size_t i = 0; i < kFaultPhaseCount; ++i) {
-      auto p = static_cast<FaultPhase>(i);
-      uint64_t s = phase_[b * kFaultPhaseCount + i].sum();
-      if (FaultPhaseOnPath(p) && s > best) {
-        best = s;
-        top = p;
-      }
-    }
-    return top;
-  }
+  FaultPhase TopContributor(int tenant) const { return TopContributorForBucket(Bucket(tenant)); }
 
   // Human-readable per-tenant breakdown: one line per active tenant bucket
   // with the top contributor and each on-path phase's share of total fault

@@ -1,8 +1,8 @@
 // Constant-memory log-bucketed latency histogram (HdrHistogram-style).
 //
-// PercentileRecorder (src/sim/stats.h) stores every sample — exact, but a
-// million-op bench run carries 8 MB of samples and a per-(node, QP-class)
-// RTT distribution at that cost is a non-starter. LogHistogram instead keys
+// Storing every sample gives exact percentiles, but a million-op bench run
+// then carries 8 MB of samples and a per-(node, QP-class) RTT distribution
+// at that cost is a non-starter. LogHistogram instead keys
 // each value into one of 64 linear sub-buckets per power-of-two octave:
 // relative bucket width is <= 1/64 (~1.6%), so nearest-rank percentiles land
 // within ~0.8% of the exact answer (the acceptance bound is 3%), at
@@ -60,8 +60,8 @@ class LogHistogram {
     }
   }
 
-  // Nearest-rank p-th percentile (p in [0,100]), same rank formula as
-  // PercentileRecorder::Percentile; returns the matching bucket's
+  // Nearest-rank p-th percentile (p in [0,100]): the sample at rank
+  // round(p/100 * (count-1)) in sorted order; returns the matching bucket's
   // representative (midpoint) value. 0 when empty.
   uint64_t Percentile(double p) const {
     if (count_ == 0) {

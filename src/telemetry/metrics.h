@@ -18,48 +18,47 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/sim/name_table.h"
 #include "src/telemetry/histogram.h"
 
 namespace dilos {
 
-// Which module a queue pair serves. Mirrors CommChannel (src/dilos/comm.h)
-// plus the recovery subsystem's dedicated QPs; kOther covers bare QPs made
-// outside the router (baselines, micro-benches).
-enum class QpClass : uint8_t {
-  kFault = 0,  // Demand-fetch QPs (CommChannel::kFault).
-  kPrefetch,   // Prefetcher QPs.
-  kCleaner,    // Page-manager write-back / parity / scrub QPs (kManager).
-  kGuide,      // App-aware guide subpage-read QPs.
-  kProbe,      // Failure-detector heartbeat QPs.
-  kRepair,     // Repair-manager copy QPs.
-  kOther,      // Unclassified (Fastswap/AIFM baselines, raw bench QPs).
-  kCount,
-};
+// Which module a queue pair serves, one row per class: X(enumerator, printed
+// name, wire band). Mirrors CommChannel (src/dilos/comm.h) plus the recovery
+// subsystem's dedicated QPs; kOther covers bare QPs made outside the router
+// (baselines, micro-benches). The band is the class's strict-priority band
+// in the fair-share wire scheduler (src/tenant/wire_sched.h): 0 demand, 1
+// application-driven prefetch, kQpMaintenanceBand for background work.
+// Bands below maintenance are the traffic a tenant's reads cost ("serve").
+#define DILOS_QP_CLASSES(X)                                                                        \
+  X(kFault, "fault", 0)       /* Demand-fetch QPs (CommChannel::kFault). */                        \
+  X(kPrefetch, "prefetch", 1) /* Prefetcher QPs. */                                                \
+  X(kCleaner, "cleaner", 2)   /* Page-manager write-back / parity / scrub QPs (kManager). */       \
+  X(kGuide, "guide", 1)       /* App-aware guide subpage-read QPs. */                              \
+  X(kProbe, "probe", 2)       /* Failure-detector heartbeat QPs. */                                \
+  X(kRepair, "repair", 2)     /* Repair-manager copy QPs. */                                       \
+  X(kOther, "other", 2)       /* Unclassified (Fastswap/AIFM baselines, raw bench QPs). */
 
-inline const char* QpClassName(QpClass c) {
-  switch (c) {
-    case QpClass::kFault:
-      return "fault";
-    case QpClass::kPrefetch:
-      return "prefetch";
-    case QpClass::kCleaner:
-      return "cleaner";
-    case QpClass::kGuide:
-      return "guide";
-    case QpClass::kProbe:
-      return "probe";
-    case QpClass::kRepair:
-      return "repair";
-    case QpClass::kOther:
-      return "other";
-    case QpClass::kCount:
-      break;
-  }
-  return "?";
+enum class QpClass : uint8_t { DILOS_QP_CLASSES(DILOS_TABLE_ENUMERATOR) kCount };
+
+inline constexpr int kQpMaintenanceBand = 2;
+
+inline constexpr const char* kQpClassNames[] = {DILOS_QP_CLASSES(DILOS_TABLE_NAME)};
+#define DILOS_QP_CLASS_BAND(id, name, band) band,
+inline constexpr int kQpClassBands[] = {DILOS_QP_CLASSES(DILOS_QP_CLASS_BAND)};
+#undef DILOS_QP_CLASS_BAND
+
+constexpr const char* QpClassName(QpClass c) { return TableName(kQpClassNames, c); }
+
+// Wire band of `c`; kQpMaintenanceBand past the end.
+constexpr int QpClassBand(QpClass c) {
+  auto i = static_cast<size_t>(c);
+  return i < std::size(kQpClassBands) ? kQpClassBands[i] : kQpMaintenanceBand;
 }
 
 // Counters for one (node, class) cell. Bytes count successful ops only (a
@@ -166,9 +165,7 @@ class MetricsRegistry {
   }
   bool tenant_aware() const { return static_cast<bool>(tenant_lookup_); }
 
-  static bool ServesTenant(QpClass cls) {
-    return cls == QpClass::kFault || cls == QpClass::kPrefetch || cls == QpClass::kGuide;
-  }
+  static bool ServesTenant(QpClass cls) { return QpClassBand(cls) < kQpMaintenanceBand; }
 
   // `tenant` -1 reads the untenanted bucket. Zero-value cells if no lookup
   // was ever installed.

@@ -7,12 +7,10 @@
 // fault path, identical RuntimeStats, identical timing. The runtime
 // constructs a Telemetry object only when cfg.enabled(), then installs its
 // pieces: the MetricsRegistry onto the Fabric's PostSend choke point, the
-// FlightRecorder as the tracer's sink, the per-LatComp histogram array onto
-// the stats breakdown, and span recording onto the tracer.
+// FlightRecorder as the tracer's sink, and span recording onto the tracer.
 #ifndef DILOS_SRC_TELEMETRY_TELEMETRY_H_
 #define DILOS_SRC_TELEMETRY_TELEMETRY_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -31,9 +29,6 @@ struct TelemetryConfig {
   // Per-(node, QP class) op/byte/timeout/RTT metrics at the fabric choke
   // point, read back via rt.metrics() / MetricsRegistry::ToProm().
   bool metrics = false;
-  // Per-LatComp LogHistogram distributions behind the existing mean-only
-  // fault breakdown, read back via rt.telemetry()->distribution(c).
-  bool latency_distributions = false;
   // Causal fault-span ring (Tracer::EnableSpans); 0 = off.
   size_t span_capacity = 0;
   // Flight-recorder ring; 0 = off. Independent of trace_capacity — the
@@ -57,8 +52,8 @@ struct TelemetryConfig {
   SloConfig slo;
 
   bool enabled() const {
-    return metrics || latency_distributions || span_capacity != 0 ||
-           flight_capacity != 0 || check_invariants || attribution || slo.enabled;
+    return metrics || span_capacity != 0 || flight_capacity != 0 || check_invariants ||
+           attribution || slo.enabled;
   }
 };
 
@@ -74,10 +69,6 @@ class Telemetry {
     if (cfg.flight_capacity != 0) {
       flight_ = std::make_unique<FlightRecorder>(cfg.flight_capacity, cfg.flight_path,
                                                  cfg.flight_min_interval_ns);
-    }
-    if (cfg.latency_distributions) {
-      distributions_ =
-          std::make_unique<std::array<LogHistogram, static_cast<size_t>(LatComp::kCount)>>();
     }
     if (cfg.attribution || cfg.slo.enabled) {
       attribution_ = std::make_unique<FaultAttribution>();
@@ -98,24 +89,12 @@ class Telemetry {
   SloEngine* slo() { return slo_.get(); }
   const SloEngine* slo() const { return slo_.get(); }
 
-  std::array<LogHistogram, static_cast<size_t>(LatComp::kCount)>* distributions() {
-    return distributions_.get();
-  }
-  // Distribution of one latency component (empty histogram if the view is
-  // off — callers can read unconditionally).
-  const LogHistogram& distribution(LatComp c) const {
-    static const LogHistogram kEmpty;
-    return distributions_ ? (*distributions_)[static_cast<size_t>(c)] : kEmpty;
-  }
-
  private:
   TelemetryConfig cfg_;
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<FlightRecorder> flight_;
   std::unique_ptr<FaultAttribution> attribution_;
   std::unique_ptr<SloEngine> slo_;
-  std::unique_ptr<std::array<LogHistogram, static_cast<size_t>(LatComp::kCount)>>
-      distributions_;
 };
 
 }  // namespace dilos

@@ -27,9 +27,11 @@ void HotnessMonitor::OnDemandFault(uint64_t vaddr) {
 uint64_t HotnessMonitor::ServeBytes(int node) const {
   const MetricsRegistry* m = *metrics_;
   uint64_t bytes = 0;
-  for (QpClass cls : {QpClass::kFault, QpClass::kPrefetch, QpClass::kGuide}) {
-    const QpMetrics& c = m->at(node, cls);
-    bytes += c.read_bytes + c.write_bytes;
+  for (size_t c = 0; c < static_cast<size_t>(QpClass::kCount); ++c) {
+    auto cls = static_cast<QpClass>(c);
+    if (MetricsRegistry::ServesTenant(cls)) {
+      bytes += m->at(node, cls).bytes();
+    }
   }
   return bytes;
 }

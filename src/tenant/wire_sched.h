@@ -4,11 +4,10 @@
 // wire, so one tenant's bulk scan (prefetch window after prefetch window)
 // pushes every later demand fault — including other tenants' — behind its
 // backlog. Installed via Fabric::set_scheduler, this scheduler replaces
-// Link::Occupy with a three-band, per-tenant arbitration:
-//
-//   band 0  demand faults            (kFault)
-//   band 1  guided/readahead prefetch (kPrefetch, kGuide)
-//   band 2  maintenance               (kCleaner, kRepair, kProbe, kOther)
+// Link::Occupy with a three-band, per-tenant arbitration: band 0 demand
+// faults, band 1 guided/readahead prefetch, band 2 maintenance (cleaner,
+// repair, probe, unclassified). Each QpClass row (src/telemetry/metrics.h)
+// carries its band.
 //
 // Bands are strict priority: an op in band b starts no earlier than the
 // completion frontier of every higher band, so bulk traffic yields the wire
@@ -39,22 +38,10 @@ namespace dilos {
 
 class FairLinkScheduler : public LinkScheduler {
  public:
-  static constexpr int kBands = 3;
+  static constexpr int kBands = kQpMaintenanceBand + 1;
 
   FairLinkScheduler(int num_nodes, const TenantRegistry* tenants)
       : tenants_(tenants), nodes_(static_cast<size_t>(num_nodes)) {}
-
-  static int BandOf(QpClass cls) {
-    switch (cls) {
-      case QpClass::kFault:
-        return 0;
-      case QpClass::kPrefetch:
-      case QpClass::kGuide:
-        return 1;
-      default:
-        return 2;
-    }
-  }
 
   uint64_t Occupy(Link& link, int node, QpClass cls, uint64_t remote_addr,
                   uint64_t issue_ns, uint64_t bytes, uint32_t nsegs,
@@ -72,7 +59,7 @@ class FairLinkScheduler : public LinkScheduler {
         static_cast<uint64_t>(cost.link_per_byte_ns * static_cast<double>(bytes)) +
         static_cast<uint64_t>(nsegs > 1 ? (nsegs - 1) * 40 : 0);
 
-    int band = BandOf(cls);
+    int band = QpClassBand(cls);
     int tenant = tenants_ != nullptr ? tenants_->TenantOfAddr(remote_addr) : -1;
     Dir& dir = nodes_[static_cast<size_t>(node)].dir[is_write ? 1 : 0];
 

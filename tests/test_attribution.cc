@@ -492,9 +492,7 @@ RuntimeStats RunObservedWorkload(bool observe) {
     (void)rt.Read<uint64_t>(region + (rng % pages) * kPageSize);
   }
   rt.Quiesce();
-  RuntimeStats out = rt.stats();
-  out.fault_breakdown.set_distributions(nullptr);  // Normalize the copy.
-  return out;
+  return rt.stats();
 }
 
 TEST(SloRuntime, AttributionAndSloAreObservationOnly) {

@@ -6,9 +6,9 @@
 #include <array>
 #include <memory>
 
-#include "src/dilos/comm.h"
 #include "src/dilos/readahead.h"
 #include "src/dilos/runtime.h"
+#include "src/dilos/shard.h"
 #include "src/memnode/fabric.h"
 
 namespace dilos {
@@ -16,12 +16,12 @@ namespace {
 
 TEST(CommModule, PerModuleQueuesAreDistinct) {
   Fabric fabric;
-  CommModule comm(fabric, /*num_cores=*/2);
+  ShardRouter router(fabric, /*num_cores=*/2, /*replication=*/1, /*shared_queue=*/false);
   std::array<QueuePair*, 8> qps = {
-      comm.qp(0, CommChannel::kFault),    comm.qp(0, CommChannel::kPrefetch),
-      comm.qp(0, CommChannel::kManager),  comm.qp(0, CommChannel::kGuide),
-      comm.qp(1, CommChannel::kFault),    comm.qp(1, CommChannel::kPrefetch),
-      comm.qp(1, CommChannel::kManager),  comm.qp(1, CommChannel::kGuide)};
+      router.NodeQp(0, CommChannel::kFault, 0),   router.NodeQp(0, CommChannel::kPrefetch, 0),
+      router.NodeQp(0, CommChannel::kManager, 0), router.NodeQp(0, CommChannel::kGuide, 0),
+      router.NodeQp(1, CommChannel::kFault, 0),   router.NodeQp(1, CommChannel::kPrefetch, 0),
+      router.NodeQp(1, CommChannel::kManager, 0), router.NodeQp(1, CommChannel::kGuide, 0)};
   for (size_t i = 0; i < qps.size(); ++i) {
     for (size_t j = i + 1; j < qps.size(); ++j) {
       EXPECT_NE(qps[i], qps[j]) << i << "," << j;
@@ -31,11 +31,11 @@ TEST(CommModule, PerModuleQueuesAreDistinct) {
 
 TEST(CommModule, SharedQueueCollapsesChannels) {
   Fabric fabric;
-  CommModule comm(fabric, 2, /*shared_queue=*/true);
-  EXPECT_EQ(comm.qp(0, CommChannel::kFault), comm.qp(0, CommChannel::kManager));
-  EXPECT_EQ(comm.qp(0, CommChannel::kFault), comm.qp(0, CommChannel::kGuide));
+  ShardRouter router(fabric, 2, /*replication=*/1, /*shared_queue=*/true);
+  EXPECT_EQ(router.NodeQp(0, CommChannel::kFault, 0), router.NodeQp(0, CommChannel::kManager, 0));
+  EXPECT_EQ(router.NodeQp(0, CommChannel::kFault, 0), router.NodeQp(0, CommChannel::kGuide, 0));
   // Cores still get their own queue.
-  EXPECT_NE(comm.qp(0, CommChannel::kFault), comm.qp(1, CommChannel::kFault));
+  EXPECT_NE(router.NodeQp(0, CommChannel::kFault, 0), router.NodeQp(1, CommChannel::kFault, 0));
 }
 
 TEST(QueuePairOrdering, RcCompletionsAreInOrder) {

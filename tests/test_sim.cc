@@ -1,10 +1,18 @@
-// Unit tests for the simulation substrate: clock, cost model, stats, RNG.
+// Unit tests for the simulation substrate: clock, cost model, stats, RNG,
+// and the name tables (src/sim/name_table.h).
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <set>
+#include <string>
 
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
+#include "src/sim/trace.h"
+#include "src/telemetry/attribution.h"
+#include "src/telemetry/metrics.h"
 
 namespace dilos {
 namespace {
@@ -88,25 +96,6 @@ TEST(LatencyBreakdown, ResetClears) {
   EXPECT_EQ(bd.total_ns(LatComp::kFetch), 0u);
 }
 
-TEST(PercentileRecorder, ExactPercentiles) {
-  PercentileRecorder r;
-  for (uint64_t i = 1; i <= 100; ++i) {
-    r.Record(i);
-  }
-  EXPECT_EQ(r.Percentile(0), 1u);
-  EXPECT_EQ(r.Percentile(100), 100u);
-  EXPECT_NEAR(static_cast<double>(r.Percentile(50)), 50.0, 1.0);
-  EXPECT_NEAR(static_cast<double>(r.Percentile(99)), 99.0, 1.0);
-  EXPECT_DOUBLE_EQ(r.MeanNs(), 50.5);
-  EXPECT_EQ(r.MaxNs(), 100u);
-}
-
-TEST(PercentileRecorder, EmptyIsZero) {
-  PercentileRecorder r;
-  EXPECT_EQ(r.Percentile(99), 0u);
-  EXPECT_EQ(r.MaxNs(), 0u);
-}
-
 TEST(Rng, Deterministic) {
   Rng a(7);
   Rng b(7);
@@ -149,9 +138,51 @@ TEST(RuntimeStats, TotalsAndToString) {
   s.minor_faults = 4;
   s.zero_fill_faults = 5;
   EXPECT_EQ(s.total_faults(), 12u);
-  EXPECT_NE(s.ToString().find("major=3"), std::string::npos);
+  EXPECT_NE(s.ToString().find("major_faults=3"), std::string::npos);
   s.Reset();
   EXPECT_EQ(s.total_faults(), 0u);
+}
+
+TEST(RuntimeStats, ToStringPrintsEveryCounterByName) {
+  // Every uint64_t slot ahead of fault_breakdown is a table row.
+  size_t rows = 0;
+#define COUNT_ROW(field, section) ++rows;
+  DILOS_RUNTIME_STATS(COUNT_ROW)
+#undef COUNT_ROW
+  EXPECT_EQ(offsetof(RuntimeStats, fault_breakdown), rows * sizeof(uint64_t));
+
+  RuntimeStats s;
+  uint64_t v = 1000;
+#define SET_ROW(field, section) s.field = ++v;
+  DILOS_RUNTIME_STATS(SET_ROW)
+#undef SET_ROW
+  const std::string out = s.ToString();
+  v = 1000;
+#define CHECK_ROW(field, section) \
+  EXPECT_NE(out.find(" " #field "=" + std::to_string(++v)), std::string::npos) << #field;
+  DILOS_RUNTIME_STATS(CHECK_ROW)
+#undef CHECK_ROW
+}
+
+// Checks one name table: every enumerator below kCount has a distinct
+// printed name other than "?", and kCount itself prints "?".
+template <typename E, typename NameFn>
+void ExpectUniqueNames(const char* table, NameFn name) {
+  std::set<std::string> seen;
+  for (size_t i = 0; i < static_cast<size_t>(E::kCount); ++i) {
+    std::string n(name(static_cast<E>(i)));
+    EXPECT_NE(n, "?") << table << " #" << i;
+    EXPECT_TRUE(seen.insert(n).second) << table << " repeats \"" << n << "\"";
+  }
+  EXPECT_EQ(std::string(name(E::kCount)), "?") << table;
+}
+
+TEST(NameTables, EveryEnumeratorHasAUniquePrintedName) {
+  ExpectUniqueNames<LatComp>("LatComp", LatCompName);
+  ExpectUniqueNames<TraceEvent>("TraceEvent", TraceEventName);
+  ExpectUniqueNames<SpanKind>("SpanKind", SpanKindName);
+  ExpectUniqueNames<FaultPhase>("FaultPhase", FaultPhaseName);
+  ExpectUniqueNames<QpClass>("QpClass", QpClassName);
 }
 
 }  // namespace

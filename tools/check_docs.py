@@ -8,13 +8,13 @@ Run from anywhere: `python3 tools/check_docs.py`. Checks, stdlib only:
      an existing file or directory.
   2. Every top-level directory under src/ appears in README.md's
      repository-layout table, so the directory map cannot silently rot.
-  3. docs/observability.md stays in lockstep with the code: every
-     RuntimeStats counter (src/sim/stats.h) has a `counter` row, every
-     TraceEvent enumerator (src/sim/trace.h) has a `kName` row, every
-     FaultPhase enumerator (src/telemetry/attribution.h) has a `kName` row,
-     and every exported SLO / attribution Prometheus series (dilos_slo_*,
-     dilos_fault_*) has a row. Documented names that no longer exist in the
-     code also fail, so removing an enumerator forces removing its row.
+  3. docs/observability.md stays in lockstep with the code's name tables
+     (read by tools/name_tables.py): every RuntimeStats counter, TraceEvent,
+     SpanKind and FaultPhase row has one doc table row, with the same
+     printed name (and, for phases, the same on-path flag), and every
+     exported SLO / attribution Prometheus series (dilos_slo_*,
+     dilos_fault_*) has a row. Doc rows naming something no table defines
+     also fail, so removing a table row forces removing its doc row.
   4. Every benchmark binary (bench/bench_*.cc) is mentioned in
      EXPERIMENTS.md, so each bench stays reproducible from the docs.
   5. Every file under docs/ is a markdown-link target in README.md's doc
@@ -26,6 +26,8 @@ Exits nonzero with one line per violation.
 import os
 import re
 import sys
+
+import name_tables
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -78,78 +80,84 @@ def check_readme_covers_src(errors):
             )
 
 
-def extract_struct_fields(header_path, struct_name, field_type):
-    """uint64_t counter names declared directly inside `struct <name> {...}`."""
-    with open(header_path, encoding="utf-8") as fh:
-        text = fh.read()
-    m = re.search(r"struct\s+%s\s*\{" % struct_name, text)
-    if m is None:
-        return []
-    depth, i = 1, m.end()
-    while i < len(text) and depth > 0:
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-        i += 1
-    body = text[m.end() : i]
-    return re.findall(r"^\s*%s\s+(\w+)\s*=" % field_type, body, re.MULTILINE)
+# Doc table kind (its header's first cell) -> the name set its rows list.
+DOC_TABLE_KINDS = {
+    "Counter": "RuntimeStats",
+    "Event": "TraceEvent",
+    "Span": "SpanKind",
+    "Phase": "FaultPhase",
+}
 
 
-def extract_enumerators(header_path, enum_name):
-    """Enumerator names of `enum class <name> ... {...}` (kCount excluded)."""
-    with open(header_path, encoding="utf-8") as fh:
-        text = fh.read()
-    m = re.search(r"enum\s+class\s+%s[^{]*\{" % enum_name, text)
-    if m is None:
-        return []
-    body = text[m.end() : text.index("}", m.end())]
-    body = re.sub(r"//[^\n]*", "", body)
-    names = re.findall(r"\b(k\w+)\b", body)
-    return [n for n in names if n != "kCount"]
+def doc_table_rows(doc):
+    """Yields (name set, lineno, cells) for each row of a name-set table."""
+    kind = None
+    for lineno, line in enumerate(doc.splitlines(), 1):
+        if not line.startswith("|"):
+            kind = None
+            continue
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if kind is None:
+            kind = DOC_TABLE_KINDS.get(cells[0], "")
+        elif kind and not set(cells[0]) <= set("-: "):
+            yield kind, lineno, cells
 
 
 def check_observability_drift(errors):
-    """The stats/trace tables in docs/observability.md must match the code."""
+    """The name-set tables in docs/observability.md must match the code's.
+
+    Every row of a code table (tools/name_tables.py) needs exactly one doc
+    row, every doc row must name a row that exists, and the doc's printed
+    names and on-path flags must equal the code's.
+    """
     doc_path = os.path.join(REPO, "docs", "observability.md")
     if not os.path.exists(doc_path):
         errors.append("docs/observability.md: missing")
         return
     with open(doc_path, encoding="utf-8") as fh:
         doc = fh.read()
-    documented = set(re.findall(r"`(\w+)`", doc))
 
-    counters = extract_struct_fields(
-        os.path.join(REPO, "src", "sim", "stats.h"), "RuntimeStats", "uint64_t"
-    )
-    if not counters:
-        errors.append("check_docs: could not parse RuntimeStats from src/sim/stats.h")
-    events = extract_enumerators(os.path.join(REPO, "src", "sim", "trace.h"), "TraceEvent")
-    if not events:
-        errors.append("check_docs: could not parse TraceEvent from src/sim/trace.h")
-    phases = extract_enumerators(
-        os.path.join(REPO, "src", "telemetry", "attribution.h"), "FaultPhase"
-    )
-    if not phases:
-        errors.append(
-            "check_docs: could not parse FaultPhase from src/telemetry/attribution.h"
-        )
-
-    for c in counters:
-        if c not in documented:
+    code = {}
+    for kind in DOC_TABLE_KINDS.values():
+        try:
+            code[kind] = {row[0]: row[1:] for row in name_tables.rows(kind)}
+        except (OSError, ValueError) as e:
+            errors.append(f"check_docs: {e}")
+            return
+    seen = {kind: set() for kind in code}
+    for kind, lineno, cells in doc_table_rows(doc):
+        where = f"docs/observability.md:{lineno}"
+        name = cells[0].strip("`")
+        if name not in code[kind]:
+            errors.append(f"{where}: `{name}` has a {kind} row but no {kind} table row")
+            continue
+        if name in seen[kind]:
+            errors.append(f"{where}: {kind} `{name}` has a second row")
+        seen[kind].add(name)
+        cols = code[kind][name]
+        if kind == "RuntimeStats":
+            continue  # Counters print as their field name.
+        printed = cells[1].strip("`") if len(cells) > 1 else ""
+        if printed != cols[0]:
             errors.append(
-                f"docs/observability.md: RuntimeStats counter `{c}` has no row"
+                f"{where}: {kind} `{name}` is printed as `{cols[0]}`, not `{printed}`"
             )
-    for e in events:
-        if e not in documented:
-            errors.append(f"docs/observability.md: TraceEvent `{e}` has no row")
-    for p in phases:
-        if p not in documented:
-            errors.append(f"docs/observability.md: FaultPhase `{p}` has no row")
+        if kind == "FaultPhase":
+            on_path = "yes" if cols[1] == "true" else "no"
+            doc_on_path = cells[2].strip("*") if len(cells) > 2 else ""
+            if doc_on_path != on_path:
+                errors.append(
+                    f"{where}: FaultPhase `{name}` on-path is `{on_path}`, not `{doc_on_path}`"
+                )
+    for kind, names in code.items():
+        for name in names:
+            if name not in seen[kind]:
+                errors.append(f"docs/observability.md: {kind} `{name}` has no row")
 
     # Attribution / SLO Prometheus series exported by ToProm() must each have
     # a row; the series names are pinned here so renaming one in the code
     # without updating the doc (or vice versa) fails the lint.
+    documented = set(re.findall(r"`(\w+)`", doc))
     slo_series = [
         "dilos_fault_phase_ns",
         "dilos_fault_e2e_ns",
@@ -165,21 +173,6 @@ def check_observability_drift(errors):
         if s not in documented:
             errors.append(
                 f"docs/observability.md: Prometheus series `{s}` has no row"
-            )
-
-    # The reverse direction: a table row for `kSomething` that is neither a
-    # TraceEvent nor a FaultPhase enumerator is a stale row. Only table rows
-    # count — backticked kNames in prose may be other enums (NodeState,
-    # WcStatus). Enumerators are kPascalCase; requiring the capital keeps
-    # snake_case counters that happen to start with "k" (kv_*) out of this
-    # check.
-    known = set(events) | set(phases)
-    rows = re.findall(r"^\|\s*`(k[A-Z]\w+)`", doc, re.MULTILINE)
-    for name in sorted(set(rows)):
-        if name not in known:
-            errors.append(
-                f"docs/observability.md: `{name}` has a row but is neither a "
-                "TraceEvent nor a FaultPhase"
             )
 
 

@@ -18,15 +18,16 @@ import os
 import re
 import sys
 
+import name_tables
+
 BAR_WIDTH = 40
 SHARE_METRIC = re.compile(r"^(.*?)(?:share_([\w-]+)|(lane)_share)$")
 
-# Display order mirrors FaultPhase (src/telemetry/attribution.h); unknown
-# phase names sort after these, alphabetically.
-PHASE_ORDER = [
-    "handler", "alloc", "lane-wait", "wire", "backoff", "ec-decode",
-    "decompress", "overlap", "park", "map", "stall", "heal",
-]
+# Display order is the FaultPhase table's (src/telemetry/attribution.h);
+# unknown phase names sort after these, alphabetically.
+PHASES = name_tables.rows("FaultPhase")
+PHASE_ORDER = [name for _, name, _ in PHASES]
+OFF_PATH = "/".join(name for _, name, on_path in PHASES if on_path == "false")
 
 
 def phase_key(name):
@@ -71,7 +72,7 @@ def render(record):
             print(f"  {phase:<10} {100.0 * share:6.2f}%  {bar(share)}")
         total = sum(shares.values())
         print(f"  {'total':<10} {100.0 * total:6.2f}%  (on-path shares shown; "
-              "off-path stall/heal excluded from the tiling sum)")
+              f"off-path {OFF_PATH} excluded from the tiling sum)")
         print()
         rendered += 1
     return rendered
