@@ -3,16 +3,17 @@
 // Three sweeps over the no-prefetch sequential-read workload — all major
 // faults, so throughput is a direct read on the demand-fault path:
 //
-//   1. Depth sweep: blocking vs depth 1..32 on one core. Throughput should
-//      climb with depth until the link, not the fault path, is the bound,
-//      then flatten (the Atlas claim: overlap hides fault-path latency).
-//   2. Backend sweep: blocking vs depth 8 on RDMA / NVMe / SATA. The longer
+//   1. Depth sweep: depth 1..16 on one core. At depth 1 each fault waits
+//      for its own completion. Throughput should climb with depth until the
+//      link, not the fault path, is the bound, then flatten (the Atlas
+//      claim: overlap hides fault-path latency).
+//   2. Backend sweep: depth 1 vs depth 8 on RDMA / NVMe / SATA. The longer
 //      the fetch, the more latency there is to hide — the win grows with
 //      backend latency until the backend's bandwidth becomes the ceiling.
 //   3. Core scaling at depth 8: aggregate throughput as cores share the
 //      link. Saturation here is the point of the whole design.
 //
-// Gates (exit 1): depth 8 ≥ 2× blocking per core, and depth 16 does not
+// Gates (exit 1): depth 8 ≥ 2× depth 1 per core, and depth 16 does not
 // regress below depth 2 (deepening the pipeline must never hurt).
 #include <cstdio>
 #include <cstdlib>
@@ -34,16 +35,13 @@ struct PipeRow {
   uint64_t peak = 0;
 };
 
-// One populate + read sweep; depth 0 = blocking mode.
+// One populate + read sweep.
 PipeRow Measure(const CostModel& cost, uint32_t depth, int cores) {
   Fabric fabric(cost);
   DilosConfig cfg;
   cfg.local_mem_bytes = g_working_set / 8;
   cfg.num_cores = cores;
-  if (depth > 0) {
-    cfg.fault_pipeline.enabled = true;
-    cfg.fault_pipeline.depth = depth;
-  }
+  cfg.fault_pipeline_depth = depth;
   DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
 
   uint64_t region = rt.AllocRegion(g_working_set);
@@ -104,19 +102,15 @@ int Run(bool short_mode) {
   std::printf("-- depth sweep (1 core, RDMA) --\n");
   std::printf("%-10s %8s %10s %9s %9s %8s %6s\n", "depth", "GB/s", "Mfaults/s", "parks",
               "batches", "stalls", "peak");
-  double by_depth[6] = {};
-  const uint32_t depths[] = {0, 1, 2, 4, 8, 16};
-  for (int i = 0; i < 6; ++i) {
+  double by_depth[5] = {};
+  const uint32_t depths[] = {1, 2, 4, 8, 16};
+  for (int i = 0; i < 5; ++i) {
     j.BeginRecord("ext_fault_pipeline.depth_sweep");
     j.Config("depth", static_cast<uint64_t>(depths[i]));
     PipeRow r = Measure(CostModel::Default(), depths[i], 1);
     by_depth[i] = r.gbps;
     char label[16];
-    if (depths[i] == 0) {
-      std::snprintf(label, sizeof(label), "blocking");
-    } else {
-      std::snprintf(label, sizeof(label), "d=%u", depths[i]);
-    }
+    std::snprintf(label, sizeof(label), "d=%u", depths[i]);
     std::printf("%-10s %8.2f %10.3f %9llu %9llu %8llu %6llu\n", label, r.gbps,
                 r.mfaults_per_s, static_cast<unsigned long long>(r.parks),
                 static_cast<unsigned long long>(r.batches),
@@ -124,8 +118,8 @@ int Run(bool short_mode) {
                 static_cast<unsigned long long>(r.peak));
   }
 
-  std::printf("\n-- backend sweep (1 core, blocking vs d=8) --\n");
-  std::printf("%-10s %10s %10s %8s\n", "backend", "blocking", "d=8", "gain");
+  std::printf("\n-- backend sweep (1 core, d=1 vs d=8) --\n");
+  std::printf("%-10s %10s %10s %8s\n", "backend", "d=1", "d=8", "gain");
   struct Backend {
     const char* name;
     CostModel cost;
@@ -135,8 +129,8 @@ int Run(bool short_mode) {
   for (const Backend& b : backends) {
     j.BeginRecord("ext_fault_pipeline.backend");
     j.Config("backend", b.name);
-    j.Config("depth", static_cast<uint64_t>(0));
-    PipeRow base = Measure(b.cost, 0, 1);
+    j.Config("depth", static_cast<uint64_t>(1));
+    PipeRow base = Measure(b.cost, 1, 1);
     j.BeginRecord("ext_fault_pipeline.backend");
     j.Config("backend", b.name);
     j.Config("depth", static_cast<uint64_t>(8));
@@ -156,15 +150,15 @@ int Run(bool short_mode) {
   }
   std::printf("\n");
 
-  double gain = by_depth[4] / by_depth[0];
-  std::printf("depth-8 gain over blocking: %.2fx\n", gain);
+  double gain = by_depth[3] / by_depth[0];
+  std::printf("depth-8 gain over d=1: %.2fx\n", gain);
   if (gain < 2.0) {
     std::fprintf(stderr, "GATE FAILED: depth-8 gain %.2fx < 2x\n", gain);
     ++violations;
   }
-  if (by_depth[5] < by_depth[2] * 0.98) {  // 2% tolerance for batching noise.
+  if (by_depth[4] < by_depth[1] * 0.98) {  // 2% tolerance for batching noise.
     std::fprintf(stderr, "GATE FAILED: depth 16 (%.2f GB/s) regresses below depth 2 (%.2f)\n",
-                 by_depth[5], by_depth[2]);
+                 by_depth[4], by_depth[1]);
     ++violations;
   }
   if (violations == 0) {

@@ -145,8 +145,7 @@ inline void JsonRuntimeConfig(const DilosConfig& cfg) {
     return;
   }
   j.Config("cores", static_cast<uint64_t>(cfg.num_cores));
-  j.Config("fault_pipeline_depth",
-           static_cast<uint64_t>(cfg.fault_pipeline.enabled ? cfg.fault_pipeline.depth : 0));
+  j.Config("fault_pipeline_depth", static_cast<uint64_t>(cfg.fault_pipeline_depth));
   j.Config("replication", static_cast<uint64_t>(cfg.replication));
   j.Config("ec", cfg.ec.enabled
                      ? "(" + std::to_string(cfg.ec.k) + "," + std::to_string(cfg.ec.m) + ")"
@@ -180,22 +179,19 @@ inline std::unique_ptr<Prefetcher> MakePrefetcher(DilosVariant v) {
   return nullptr;
 }
 
-// pipeline_depth 0 = blocking fault path; >= 1 enables the async fault
-// pipeline with that many outstanding demand faults per core. `attribution`
-// turns on per-fault critical-path attribution (src/telemetry/attribution.h)
-// so benches can print phase waterfalls next to their latency columns.
+// pipeline_depth bounds outstanding demand faults per core (1 = each fault
+// waits for its own completion). `attribution` turns on per-fault
+// critical-path attribution (src/telemetry/attribution.h) so benches can
+// print phase waterfalls next to their latency columns.
 inline std::unique_ptr<DilosRuntime> MakeDilos(Fabric& fabric, uint64_t local_bytes,
                                                DilosVariant v, bool tcp = false, int cores = 1,
-                                               uint32_t pipeline_depth = 0,
+                                               uint32_t pipeline_depth = 1,
                                                bool attribution = false) {
   DilosConfig cfg;
   cfg.local_mem_bytes = local_bytes;
   cfg.tcp_emulation = tcp;
   cfg.num_cores = cores;
-  if (pipeline_depth > 0) {
-    cfg.fault_pipeline.enabled = true;
-    cfg.fault_pipeline.depth = pipeline_depth;
-  }
+  cfg.fault_pipeline_depth = pipeline_depth;
   cfg.telemetry.attribution = attribution;
   return std::make_unique<DilosRuntime>(fabric, cfg, MakePrefetcher(v));
 }

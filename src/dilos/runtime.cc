@@ -127,13 +127,12 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
       fabric_.set_scheduler(wire_sched_.get());
     }
   }
-  if (cfg_.fault_pipeline.enabled) {
-    pipelines_.reserve(static_cast<size_t>(cfg_.num_cores));
-    for (int c = 0; c < cfg_.num_cores; ++c) {
-      pipelines_.emplace_back(cfg_.fault_pipeline.depth);
-    }
-    harvest_scratch_.reserve(cfg_.fault_pipeline.depth);
+  pipelines_.reserve(static_cast<size_t>(cfg_.num_cores));
+  for (int c = 0; c < cfg_.num_cores; ++c) {
+    pipelines_.emplace_back(cfg_.fault_pipeline_depth);
   }
+  const size_t depth = pipelines_.front().depth();  // The pipeline clamps 0 to 1.
+  harvest_scratch_.reserve(depth);
   if (cfg_.recovery.enabled) {
     detector_ = std::make_unique<FailureDetector>(fabric_, router_, stats_, &tracer_,
                                                   cfg_.recovery.detector);
@@ -167,9 +166,8 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
     flight_ = telemetry_->flight();
     attr_ = telemetry_->attribution();
     slo_ = telemetry_->slo();
-    if (attr_ != nullptr && cfg_.fault_pipeline.enabled) {
-      parked_slices_.resize(static_cast<size_t>(cfg_.num_cores) *
-                            static_cast<size_t>(cfg_.fault_pipeline.depth));
+    if (attr_ != nullptr) {
+      parked_slices_.resize(static_cast<size_t>(cfg_.num_cores) * depth);
     }
     if (metrics_registry_ != nullptr) {
       // QPs (created above, via the router/detector/repair ctors) hold a
@@ -632,11 +630,11 @@ bool DilosRuntime::RetireParked(uint64_t page_va) {
   return false;
 }
 
-uint32_t DilosRuntime::BeginFault(int core, uint64_t page_va, uint64_t entry_ns,
-                                  uint64_t span_now) {
+uint32_t DilosRuntime::EnterFault(int core, uint64_t page_va, uint64_t entry_ns) {
+  Clock& clk = clocks_[static_cast<size_t>(core)];
   FaultScope& s = fault_scope_[static_cast<size_t>(core)];
   if (s.depth++ == 0) {
-    s.span = tracer_.BeginSpan(SpanKind::kFault, span_now, page_va);
+    s.span = tracer_.BeginSpan(SpanKind::kFault, clk.now(), page_va);
     s.page_va = page_va;
     s.moved = false;
     if (attr_ != nullptr) {
@@ -644,7 +642,15 @@ uint32_t DilosRuntime::BeginFault(int core, uint64_t page_va, uint64_t entry_ns,
       s.slice.start_ns = entry_ns;
     }
   }
-  return s.span;
+  LatencyBreakdown& bd = stats_.fault_breakdown;
+  AttrAdd(core, FaultPhase::kHandler, clk.now() - entry_ns);
+  bd.CountEvent();
+  bd.Add(LatComp::kHwException, cost_.hw_exception_ns);
+  bd.Add(LatComp::kOsHandler, cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns);
+  uint64_t alloc_start_ns = clk.now();
+  uint32_t frame = pm_.AllocFrame(clk, &bd);
+  AttrAdd(core, FaultPhase::kAlloc, clk.now() - alloc_start_ns);
+  return frame;
 }
 
 void DilosRuntime::EndFault(int core, uint64_t now) {
@@ -730,6 +736,19 @@ void DilosRuntime::ParkFaultSlice(int core, uint64_t page_va, uint64_t done_ns) 
   s.moved = true;
 }
 
+void DilosRuntime::CommitParkedSlice(uint64_t page_va, uint64_t end_ns) {
+  ParkedSlice* ps = FindParkedSlice(page_va);
+  if (ps == nullptr) {
+    return;
+  }
+  const uint64_t map_ns = cost_.dilos_map_ns + cost_.map_tlb_flush_ns;
+  // end_ns >= done_ns + map_ns: the install starts after the data arrived.
+  ps->slice.Add(FaultPhase::kOverlap, end_ns - ps->done_ns - map_ns);
+  ps->slice.Add(FaultPhase::kMap, map_ns);
+  CommitFaultSlice(ps->slice, page_va, end_ns);
+  ps->used = false;
+}
+
 void DilosRuntime::DropParkedSlice(uint64_t page_va) {
   if (attr_ == nullptr) {
     return;
@@ -747,13 +766,18 @@ void DilosRuntime::HarvestFaultPipeline(int core, uint64_t now) {
     return;
   }
   Clock& clk = clocks_[static_cast<size_t>(core)];
-  LatencyBreakdown& bd = stats_.fault_breakdown;
   uint32_t resume_span =
       tracer_.BeginSpan(SpanKind::kFaultResume, clk.now(), harvest_scratch_.front().page_va,
                         static_cast<uint32_t>(harvest_scratch_.size()));
   if (pipe.depth() > 1) {
     clk.Advance(cost_.cq_poll_ns);  // One coalesced poll covers the batch.
   }
+  InstallFibers(core, resume_span);
+}
+
+void DilosRuntime::InstallFibers(int core, uint32_t resume_span) {
+  Clock& clk = clocks_[static_cast<size_t>(core)];
+  LatencyBreakdown& bd = stats_.fault_breakdown;
   size_t installed = 0;
   for (const FaultFiber& f : harvest_scratch_) {
     auto it = inflight_.find(f.page_va);
@@ -761,40 +785,28 @@ void DilosRuntime::HarvestFaultPipeline(int core, uint64_t now) {
       DropParkedSlice(f.page_va);
       continue;  // Resolved externally (freed region) between park and poll.
     }
-    Inflight inf = it->second;
+    MapInflight(f.page_va, it->second, f.write);
     inflight_.erase(it);
-    uint64_t pre_map_ns = clk.now();
-    MapInflight(f.page_va, inf, inf.write);
     clk.Advance(cost_.dilos_map_ns);
     bd.Add(LatComp::kMap, cost_.dilos_map_ns);
-    if (attr_ != nullptr) {
-      // Finalize this fiber at its own install point: park covers everything
-      // between the fetch completion and the map (other fibers' installs,
-      // the coalesced poll, whatever the core overlapped), map is this
-      // fiber's own install. The batch-amortized TLB flush below lands
-      // outside every harvested fiber's end-to-end window by construction.
-      ParkedSlice* ps = FindParkedSlice(f.page_va);
-      if (ps != nullptr) {
-        ps->slice.Add(FaultPhase::kPark,
-                      pre_map_ns > ps->done_ns ? pre_map_ns - ps->done_ns : 0);
-        ps->slice.Add(FaultPhase::kMap, cost_.dilos_map_ns);
-        CommitFaultSlice(ps->slice, f.page_va, clk.now());
-        ps->used = false;
-      }
-    }
     stats_.fault_resumes++;
     stats_.fault_inflight--;
     ++installed;
   }
   if (installed > 0) {
     // The batch commits with a single TLB/PTE flush — the install cost the
-    // pipeline amortizes over the whole harvest.
+    // pipeline amortizes over the whole batch.
     clk.Advance(cost_.map_tlb_flush_ns);
     bd.Add(LatComp::kMap, cost_.map_tlb_flush_ns);
-    if (pipe.depth() > 1) {
+    stats_.fault_batched_installs++;
+    if (attr_ != nullptr) {
+      for (const FaultFiber& f : harvest_scratch_) {
+        CommitParkedSlice(f.page_va, clk.now());
+      }
+    }
+    if (pipelines_[static_cast<size_t>(core)].depth() > 1) {
       clk.Advance(cost_.fiber_resume_ns);
     }
-    stats_.fault_batched_installs++;
   }
   tracer_.EndSpan(resume_span, clk.now());
 }
@@ -919,11 +931,11 @@ bool DilosRuntime::StartPrefetch(uint64_t page_va, uint64_t issue_ns, int core,
 }
 
 void DilosRuntime::RunPrefetcher(const FaultInfo& info, int core) {
-  std::vector<uint64_t> pages;
-  prefetchers_[static_cast<size_t>(core)]->OnFault(info, &pages);
+  prefetch_scratch_.clear();
+  prefetchers_[static_cast<size_t>(core)]->OnFault(info, &prefetch_scratch_);
   Clock& clk = clocks_[static_cast<size_t>(core)];
   uint64_t issue_work = 0;
-  for (uint64_t p : pages) {
+  for (uint64_t p : prefetch_scratch_) {
     if (StartPrefetch(PageOf(p), clk.now() + issue_work, core, CommChannel::kPrefetch)) {
       issue_work += cost_.dilos_prefetch_issue_ns;
     }
@@ -942,9 +954,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
   // Attribution clock zero: the fault's end-to-end window opens before the
   // handler-entry costs so the kHandler phase is on the tiled path.
   uint64_t fault_entry_ns = clk.now();
-  const uint64_t handler_ns =
-      cost_.hw_exception_ns + cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns;
-  clk.Advance(handler_ns);
+  clk.Advance(cost_.hw_exception_ns + cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns);
 
   Pte* e = pt_.Entry(page_va, /*create=*/true);
   switch (PteTagOf(*e)) {
@@ -968,38 +978,19 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
     case PteTag::kFetching: {
       auto it = inflight_.find(page_va);
       if (it != inflight_.end() && it->second.demand && RetireParked(page_va)) {
-        // Touch of a page whose own demand fault is still parked in a
-        // pipeline: resume that fiber directly instead of counting a new
-        // minor fault — in blocking mode this second touch would have been
-        // a plain local hit, because the first fault resolved in-handler.
-        stats_.fault_resumes++;
-        stats_.fault_inflight--;
+        // Touch of a page whose own demand fault is still parked (depth > 1):
+        // wait for its data and install that fiber directly, as a batch of
+        // one, instead of counting a new minor fault — at depth 1 this second
+        // touch would have been a plain local hit, because the first fault
+        // resolved in-handler.
         uint32_t resume_span =
             tracer_.BeginSpan(SpanKind::kFaultResume, clk.now(), page_va, /*detail=*/1);
-        Inflight inf = it->second;
-        inflight_.erase(it);
-        clk.AdvanceTo(inf.done_ns);
-        uint64_t pre_map_ns = clk.now();
-        MapInflight(page_va, inf, write);
-        clk.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
-        if (pipelines_[static_cast<size_t>(core)].depth() > 1) {
-          clk.Advance(cost_.fiber_resume_ns);
-        }
-        if (attr_ != nullptr) {
-          // Direct resume finalizes the *original* fault's parked slice:
-          // park spans from its fetch completion to this install (this
-          // second touch's own handler entry is wall time inside it), map
-          // is the un-batched install this touch pays.
-          ParkedSlice* ps = FindParkedSlice(page_va);
-          if (ps != nullptr) {
-            ps->slice.Add(FaultPhase::kPark,
-                          pre_map_ns > ps->done_ns ? pre_map_ns - ps->done_ns : 0);
-            ps->slice.Add(FaultPhase::kMap, clk.now() - pre_map_ns);
-            CommitFaultSlice(ps->slice, page_va, clk.now());
-            ps->used = false;
-          }
-        }
-        tracer_.EndSpan(resume_span, clk.now());
+        clk.AdvanceTo(it->second.done_ns);
+        FaultFiber fiber;
+        fiber.page_va = page_va;
+        fiber.write = write;  // MapInflight ORs in the parked fault's own write.
+        harvest_scratch_.assign(1, fiber);
+        InstallFibers(core, resume_span);
         DrainArrivals(clk.now());
         Background(clk.now(), page_va);
         break;
@@ -1036,16 +1027,11 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       // eviction time, zero the rest (it was dead to the allocator).
       stats_.major_faults++;
       tracer_.Record(clk.now(), TraceEvent::kActionFetch, page_va);
-      BeginFault(core, page_va, fault_entry_ns, clk.now());
-      AttrAdd(core, FaultPhase::kHandler, handler_ns);
-      bd.CountEvent();
-      bd.Add(LatComp::kHwException, cost_.hw_exception_ns);
-      bd.Add(LatComp::kOsHandler, cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns);
       uint64_t log_idx = PtePayload(*e);
+      uint32_t frame = EnterFault(core, page_va, fault_entry_ns);
+      // Looked up after the frame is allocated: direct reclaim may evict
+      // through an action slot, and growing the action log moves the lists.
       const std::vector<PageSegment>* segs = pm_.ActionSegments(log_idx);
-      uint64_t alloc_start_ns = clk.now();
-      uint32_t frame = pm_.AllocFrame(clk, &bd);
-      AttrAdd(core, FaultPhase::kAlloc, clk.now() - alloc_start_ns);
       std::memset(pool_.Data(frame), 0, kPageSize);
       uint64_t cursor = clk.now();
       DemandFetch(page_va, pool_.Addr(frame), segs, core, CommChannel::kFault, &cursor);
@@ -1075,14 +1061,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       // RDMA round trip; that gap is the tier's entire point.
       stats_.minor_faults++;
       stats_.tier_hits++;
-      BeginFault(core, page_va, fault_entry_ns, clk.now());
-      AttrAdd(core, FaultPhase::kHandler, handler_ns);
-      bd.CountEvent();
-      bd.Add(LatComp::kHwException, cost_.hw_exception_ns);
-      bd.Add(LatComp::kOsHandler, cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns);
-      uint64_t alloc_start_ns = clk.now();
-      uint32_t frame = pm_.AllocFrame(clk, &bd);
-      AttrAdd(core, FaultPhase::kAlloc, clk.now() - alloc_start_ns);
+      uint32_t frame = EnterFault(core, page_va, fault_entry_ns);
       bool was_dirty = false;
       bool present = tier_ != nullptr && tier_->Contains(page_va);
       if (tier_ == nullptr || !tier_->Take(page_va, pool_.Data(frame), &was_dirty)) {
@@ -1131,8 +1110,8 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
     }
 
     case PteTag::kRemote: {
-      // Major fault: mark fetching, post the read, then hide every other
-      // piece of work inside the fetch window.
+      // Major fault: post the read, park a fiber, hide every other piece of
+      // work inside the fetch window, then install.
       stats_.major_faults++;
       if (tier_ != nullptr) {
         stats_.tier_misses++;  // Cold miss the tier no longer holds (or never did).
@@ -1141,99 +1120,52 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         hotness_->OnDemandFault(page_va);  // Granule heat for the auto-migrator.
       }
       tracer_.Record(clk.now(), TraceEvent::kMajorFault, page_va);
-      BeginFault(core, page_va, fault_entry_ns, clk.now());
-      AttrAdd(core, FaultPhase::kHandler, handler_ns);
-      bd.CountEvent();
-      bd.Add(LatComp::kHwException, cost_.hw_exception_ns);
-      bd.Add(LatComp::kOsHandler, cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns);
-      uint64_t alloc_start_ns = clk.now();
-      uint32_t frame = pm_.AllocFrame(clk, &bd);
-      AttrAdd(core, FaultPhase::kAlloc, clk.now() - alloc_start_ns);
+      uint32_t frame = EnterFault(core, page_va, fault_entry_ns);
       uint64_t cursor = clk.now();
       Completion c =
           DemandFetch(page_va, pool_.Addr(frame), nullptr, core, CommChannel::kFault, &cursor);
       stats_.bytes_fetched += kPageSize;
-
-      if (!pipelines_.empty()) {
-        // Pipelined mode: the read is posted and its whole resolution
-        // timeline (retries, backoff, EC decode, failover — DemandFetch
-        // advanced `cursor` past all of it) is known; instead of blocking
-        // the core until then, park a fiber carrying the completion time
-        // and give the core back to the workload. The data already sits in
-        // the frame (the sim moves bytes synchronously; only time is
-        // simulated), so the faulting access can complete — the page just
-        // stays kFetching until a harvest commits its PTE.
-        uint64_t done = cursor + (cfg_.tcp_emulation ? cost_.tcp_delay_ns : 0);
-        AttrAdd(core, FaultPhase::kWire, done - cursor);
-        if (c.status != WcStatus::kSuccess) {
-          std::memset(pool_.Data(frame), 0, kPageSize);  // Unrecoverable: zero page.
-        }
-        *pt_.Entry(page_va, true) = MakeFetchingPte(frame);
-        inflight_[page_va] = Inflight{frame, done, write, true};
-        FaultPipeline& pipe = pipelines_[static_cast<size_t>(core)];
-        if (pipe.Full()) {
-          // Defensive: the end-of-handler stall below keeps the pipeline
-          // under depth between faults, so admission normally never waits.
-          stats_.fault_pipeline_stalls++;
-          uint64_t stall_ns = clk.AdvanceTo(pipe.OldestDoneNs());
-          bd.Add(LatComp::kFetch, stall_ns);
-          // Off-path: the stall is concurrent with the oldest fiber's own
-          // wire wait — counting it on-path would double-bill that time.
-          AttrAdd(core, FaultPhase::kStall, stall_ns);
-          HarvestFaultPipeline(core, clk.now());
-        }
-        pipe.Admit(page_va, frame, clk.now(), done, write);
-        ParkFaultSlice(core, page_va, done);
-        stats_.fault_parks++;
-        stats_.fault_inflight++;
-        if (stats_.fault_inflight > stats_.fault_inflight_peak) {
-          stats_.fault_inflight_peak = stats_.fault_inflight;
-        }
-        uint32_t park_span = tracer_.BeginSpan(SpanKind::kFaultPark, clk.now(), page_va,
-                                               static_cast<uint32_t>(pipe.size()));
-        if (pipe.depth() > 1) {
-          // Fiber switch costs exist only when there is another fiber to
-          // switch to; at depth 1 the path must cost exactly what blocking
-          // does, or timing shifts would perturb prefetch-arrival races
-          // and break the depth-1 fault-count equivalence.
-          clk.Advance(cost_.fiber_park_ns);
-        }
-        tracer_.EndSpan(park_span, clk.now());
-
-        // The same work the blocking path hides in the fetch window.
-        if (guide_ != nullptr) {
-          RuntimeGuideContext ctx(*this, core, clk.now());
-          guide_->OnFault(ctx, vaddr, write);
-        }
-        tracker_.Scan(pt_);
-        clk.Advance(cost_.dilos_hit_tracker_ns);
-        bd.Add(LatComp::kPrefetch, cost_.dilos_hit_tracker_ns);
-        FaultInfo info{vaddr, write, /*major=*/true, tracker_.hit_ratio()};
-        RunPrefetcher(info, core);
-        Background(clk.now(), page_va);
-
-        if (pipe.Full()) {
-          // Depth limit: stall the core until the oldest completion so the
-          // next fault finds an admission slot. At depth 1 this resolves
-          // the fault in-handler — exactly the blocking timeline.
-          stats_.fault_pipeline_stalls++;
-          uint64_t stall_ns = clk.AdvanceTo(pipe.OldestDoneNs());
-          bd.Add(LatComp::kFetch, stall_ns);
-          AttrAdd(core, FaultPhase::kStall, stall_ns);  // Off-path, as above.
-        }
-        HarvestFaultPipeline(core, clk.now());
-        DrainArrivals(clk.now());
-        EndFault(core, clk.now());
-        if (PteTagOf(*pt_.Entry(page_va, true)) == PteTag::kLocal) {
-          break;  // Harvested in-handler; the common exit sets the A/D bits.
-        }
-        // Still parked: hand the frame to the faulting access directly. The
-        // PTE stays kFetching until a later harvest installs it.
-        return pool_.Data(frame) + (vaddr & (kPageSize - 1));
+      // The read's whole resolution timeline (retries, backoff, EC decode,
+      // failover — DemandFetch advanced `cursor` past all of it) is known:
+      // park a fiber carrying the completion time. The data already sits in
+      // the frame (the sim moves bytes synchronously; only time is
+      // simulated), so the faulting access can complete — the page just
+      // stays kFetching until an install commits its PTE.
+      uint64_t done = cursor + (cfg_.tcp_emulation ? cost_.tcp_delay_ns : 0);
+      AttrAdd(core, FaultPhase::kWire, done - cursor);
+      if (c.status != WcStatus::kSuccess) {
+        // Every replica is gone: the content is unrecoverable. Surface a
+        // zero page (failed_fetches records the loss) rather than whatever
+        // the recycled frame last held.
+        std::memset(pool_.Data(frame), 0, kPageSize);
       }
-
       *pt_.Entry(page_va, true) = MakeFetchingPte(frame);
-      inflight_[page_va] = Inflight{frame, cursor, write, true};
+      inflight_[page_va] = Inflight{frame, done, write, true};
+      FaultPipeline& pipe = pipelines_[static_cast<size_t>(core)];
+      if (pipe.Full()) {
+        // Defensive: the end-of-handler stall below keeps the pipeline
+        // under depth between faults, so admission normally never waits.
+        stats_.fault_pipeline_stalls++;
+        uint64_t stall_ns = clk.AdvanceTo(pipe.OldestDoneNs());
+        bd.Add(LatComp::kFetch, stall_ns);
+        AttrAdd(core, FaultPhase::kStall, stall_ns);  // Waits on other faults only.
+        HarvestFaultPipeline(core, clk.now());
+      }
+      pipe.Admit(page_va, frame, clk.now(), done, write);
+      ParkFaultSlice(core, page_va, done);
+      stats_.fault_parks++;
+      stats_.fault_inflight++;
+      if (stats_.fault_inflight > stats_.fault_inflight_peak) {
+        stats_.fault_inflight_peak = stats_.fault_inflight;
+      }
+      uint32_t park_span = tracer_.BeginSpan(SpanKind::kFaultPark, clk.now(), page_va,
+                                             static_cast<uint32_t>(pipe.size()));
+      if (pipe.depth() > 1) {
+        // Fiber switch costs exist only when there is another fiber to
+        // switch to; at depth 1 the fault costs exactly a blocking wait.
+        clk.Advance(cost_.fiber_park_ns);
+      }
+      tracer_.EndSpan(park_span, clk.now());
 
       // Work hidden in the fetch window: guide, hit tracker, prefetcher,
       // background manager.
@@ -1248,29 +1180,27 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       RunPrefetcher(info, core);
       Background(clk.now(), page_va);
 
-      uint64_t done = cursor + (cfg_.tcp_emulation ? cost_.tcp_delay_ns : 0);
-      AttrAdd(core, FaultPhase::kWire, done - cursor);
-      uint64_t pre_fetch_ns = clk.now();
-      bd.Add(LatComp::kFetch, clk.AdvanceTo(done));
-      // Hidden work that outran the fetch window surfaces as kOverlap; when
-      // the window fully hides it the phase is zero and the fetch phases
-      // alone tile the wall time.
-      AttrAdd(core, FaultPhase::kOverlap,
-              pre_fetch_ns > done ? pre_fetch_ns - done : 0);
-      inflight_.erase(page_va);
-      if (c.status != WcStatus::kSuccess) {
-        // Every replica is gone: the content is unrecoverable. Surface a
-        // zero page (failed_fetches records the loss) rather than whatever
-        // the recycled frame last held.
-        std::memset(pool_.Data(frame), 0, kPageSize);
+      if (pipe.Full()) {
+        // Depth limit: stall the core until the oldest completion so the
+        // next fault finds an admission slot. At depth 1 the oldest is this
+        // fault, which therefore resolves in-handler.
+        stats_.fault_pipeline_stalls++;
+        uint64_t oldest_ns = pipe.OldestDoneNs();
+        uint64_t stall_ns = clk.AdvanceTo(oldest_ns);
+        bd.Add(LatComp::kFetch, stall_ns);
+        if (oldest_ns < done) {
+          AttrAdd(core, FaultPhase::kStall, stall_ns);  // Another fault is the oldest.
+        }
       }
-      MapInflight(page_va, Inflight{frame, done, write, true}, write);
-      clk.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
-      bd.Add(LatComp::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
-      AttrAdd(core, FaultPhase::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
+      HarvestFaultPipeline(core, clk.now());
       DrainArrivals(clk.now());
       EndFault(core, clk.now());
-      break;
+      if (PteTagOf(*pt_.Entry(page_va, true)) == PteTag::kLocal) {
+        break;  // Installed in-handler; the common exit sets the A/D bits.
+      }
+      // Still parked: hand the frame to the faulting access directly. The
+      // PTE stays kFetching until a later harvest installs it.
+      return pool_.Data(frame) + (vaddr & (kPageSize - 1));
     }
   }
 

@@ -54,12 +54,12 @@ struct DilosConfig {
   // an in-DRAM pool instead of written remotely; a refault decompresses
   // locally instead of paying the RDMA round trip.
   TierConfig tier;
-  // Async fault pipeline (src/sim/fiber.h, DESIGN.md §12): a demand fault
-  // posts its read, parks a fiber, and returns the core to the workload;
-  // completions are harvested by coalesced CQ polls and committed as batched
-  // PTE installs. depth bounds outstanding demand faults per core; depth 1
-  // reproduces blocking-mode fault counts exactly (the CI gate).
-  FaultPipelineConfig fault_pipeline;
+  // Fault pipeline depth (src/sim/fiber.h, DESIGN.md §12): every demand
+  // fault posts its read and parks a fiber; up to this many stay outstanding
+  // per core while the core returns to the workload, and completions are
+  // harvested by coalesced CQ polls and committed as batched PTE installs.
+  // At depth 1 each fault waits for its own completion. 0 is treated as 1.
+  uint32_t fault_pipeline_depth = 1;
   PageManagerConfig pm;
   // Paging-event trace ring capacity (0 = tracing off).
   size_t trace_capacity = 0;
@@ -99,7 +99,7 @@ class DilosRuntime : public FarRuntime {
   uint8_t* Pin(uint64_t vaddr, uint32_t len, bool write, int core) override;
   // Retires every parked demand fault: advances each core's clock to its
   // oldest outstanding completion and harvests until the pipelines drain.
-  // No-op in blocking mode.
+  // No-op at depth 1, where no fault outlives its handler.
   void Quiesce() override;
   using FarRuntime::clock;
   Clock& clock(int core) override { return clocks_[static_cast<size_t>(core)]; }
@@ -132,10 +132,7 @@ class DilosRuntime : public FarRuntime {
   }
   // Compressed tier (null unless cfg.tier.enabled).
   CompressedTier* tier() { return tier_.get(); }
-  // Per-core fault pipeline (null unless cfg.fault_pipeline.enabled).
-  FaultPipeline* pipeline(int core) {
-    return pipelines_.empty() ? nullptr : &pipelines_[static_cast<size_t>(core)];
-  }
+  FaultPipeline* pipeline(int core) { return &pipelines_[static_cast<size_t>(core)]; }
   // -- Multi-tenant policy layer (null members unless cfg.tenants.enabled) ---
   // Registers a tenant; returns its id, or -1 (registry full / tenancy off).
   // With the SLO engine on, the spec's latency objective is installed for
@@ -236,10 +233,19 @@ class DilosRuntime : public FarRuntime {
   void RunPrefetcher(const FaultInfo& info, int core);
   void DrainArrivals(uint64_t now);
   void MapInflight(uint64_t page_va, const Inflight& inf, bool as_write);
+  // Entry shared by every fault that fills a frame (kRemote, kAction,
+  // kTier): opens (or re-enters) the core's fault scope, charges the handler
+  // entry since `entry_ns`, and allocates the frame (reclaim included).
+  // The kFault span begins now; attribution starts at `entry_ns`, the
+  // pre-handler clock.
+  uint32_t EnterFault(int core, uint64_t page_va, uint64_t entry_ns);
   // Coalesced CQ poll for `core`: harvests every parked fiber whose
-  // completion has passed and commits them as one batched PTE install
-  // (per-page map cost, one TLB flush per batch).
+  // completion has passed and installs them as one batch.
   void HarvestFaultPipeline(int core, uint64_t now);
+  // Installs the fibers in harvest_scratch_ as one batch: per-page map cost,
+  // one TLB flush, then (depth > 1) the fiber resume. Each installed fiber's
+  // attribution window closes right after the flush. Ends `resume_span`.
+  void InstallFibers(int core, uint32_t resume_span);
   // Drops the parked fiber for `page_va` from whichever core's pipeline
   // holds it (direct-touch resume, region teardown). False if none does.
   bool RetireParked(uint64_t page_va);
@@ -255,25 +261,22 @@ class DilosRuntime : public FarRuntime {
     uint32_t depth = 0;
     uint32_t span = 0;
     uint64_t page_va = 0;
-    bool moved = false;  // Slice handed to a parked-fiber slot (pipelined path).
+    bool moved = false;  // Slice handed to a parked-fiber slot (kRemote).
     FaultSlice slice;
   };
-  // A parked fiber's slice between HandleFault returning and the harvest
-  // that installs the page. Keyed by page_va (a fiber parked on one core can
-  // be resumed from another); preallocated cores x depth, linear scan.
+  // A parked fiber's slice between its park and the install that closes its
+  // window. Keyed by page_va (a fiber parked on one core can be resumed from
+  // another); preallocated cores x depth, linear scan.
   struct ParkedSlice {
     bool used = false;
     uint64_t page_va = 0;
-    uint64_t done_ns = 0;  // Fetch completion: park time = map start - done.
+    uint64_t done_ns = 0;  // Fetch completion: kOverlap runs from here.
     FaultSlice slice;
   };
 
-  // Opens (or re-enters) the core's fault scope; returns the span id.
-  // `entry_ns` is the attribution start (pre-handler-advance clock);
-  // `span_now` the span begin (post-advance, matching the old span start).
-  uint32_t BeginFault(int core, uint64_t page_va, uint64_t entry_ns, uint64_t span_now);
-  // Closes one nesting level; at the outermost level ends the span and, when
-  // the slice was not handed to a parked fiber, commits it at `now`.
+  // Closes one nesting level of EnterFault's scope; at the outermost level
+  // ends the span and, when the slice was not handed to a parked fiber,
+  // commits it at `now`.
   void EndFault(int core, uint64_t now);
   // Adds `dt` to a phase of the core's active slice (or its parked slot once
   // moved). No-op when attribution is off or no fault scope is open.
@@ -283,8 +286,12 @@ class DilosRuntime : public FarRuntime {
   void CommitFaultSlice(const FaultSlice& slice, uint64_t page_va, uint64_t end_ns);
   ParkedSlice* FindParkedSlice(uint64_t page_va);
   // Moves the core's active slice into a free parked slot at fetch
-  // completion time `done_ns` (pipelined park). No-op when attribution is off.
+  // completion time `done_ns`. No-op when attribution is off.
   void ParkFaultSlice(int core, uint64_t page_va, uint64_t done_ns);
+  // Closes the parked slice of `page_va` at `end_ns`, right after its
+  // install batch's TLB flush: kMap is its own install plus the flush,
+  // kOverlap the rest of the time since its fetch completed. Commits it.
+  void CommitParkedSlice(uint64_t page_va, uint64_t end_ns);
   // Drops a parked slice without committing (region teardown).
   void DropParkedSlice(uint64_t page_va);
 
@@ -360,15 +367,15 @@ class DilosRuntime : public FarRuntime {
   SloEngine* slo_ = nullptr;
   // Per-core fault scopes (always sized num_cores — the span fix needs them
   // even with attribution off) and the parked-slice pool (sized cores x
-  // pipeline depth when both the pipeline and attribution are on).
+  // pipeline depth when attribution is on).
   std::vector<FaultScope> fault_scope_;
   std::vector<ParkedSlice> parked_slices_;
   std::vector<int> replica_scratch_;  // ReplicaHasChecksumElsewhere scratch.
+  std::vector<uint64_t> prefetch_scratch_;  // RunPrefetcher candidate pages.
 
   std::unordered_map<uint64_t, Inflight> inflight_;  // Key: page vaddr.
-  // One pipeline per core when cfg.fault_pipeline.enabled; empty otherwise.
-  std::vector<FaultPipeline> pipelines_;
-  std::vector<FaultFiber> harvest_scratch_;  // HarvestFaultPipeline batch buffer.
+  std::vector<FaultPipeline> pipelines_;     // One per core.
+  std::vector<FaultFiber> harvest_scratch_;  // InstallFibers batch buffer.
   uint64_t next_region_ = kFarBase;
   uint64_t wr_id_ = 0;
 };

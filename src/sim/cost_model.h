@@ -72,8 +72,8 @@ struct CostModel {
   // green threads (vs multi-µs kernel thread switches): a faulting fiber
   // saves registers and yields in a few hundred ns, and resuming it costs
   // about the same. Coalesced CQ polling amortizes one poll over a whole
-  // batch of completions. Charged only with fault_pipeline.depth > 1 —
-  // depth == 1 degenerates to the blocking path and must cost identically.
+  // batch of completions. Charged only at fault_pipeline_depth > 1: at depth
+  // 1 a fault waits for its own completion and costs exactly that wait.
   uint64_t fiber_park_ns = 150;    // Save continuation + switch to next fiber.
   uint64_t fiber_resume_ns = 100;  // Reschedule a ready fiber after harvest.
   uint64_t cq_poll_ns = 120;       // One coalesced completion-queue poll.

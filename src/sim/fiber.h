@@ -12,7 +12,7 @@
 // (the backpressure knob), harvest returns every fiber whose completion
 // timestamp has passed — ordered by (done_ns, admission seq) so resume
 // order is deterministic — and external resolution (a second touch of the
-// page, or region teardown) retires a fiber without a resume. The runtime
+// page, or region teardown) retires a fiber without a harvest. The runtime
 // (src/dilos/runtime.cc) owns the other half: what a park/resume costs,
 // what a batched install commits, and how retry/EC/tier recovery states
 // fold into the parked fiber's private timeline.
@@ -24,16 +24,6 @@
 #include <vector>
 
 namespace dilos {
-
-// DilosConfig::fault_pipeline. Off by default: the demand-fault path blocks
-// its core until the RDMA read completes, exactly as before this subsystem
-// existed. depth == 1 admits one outstanding fault per core — blocking
-// semantics expressed through the pipeline machinery, and the equivalence
-// the CI gate in bench_table2_seq_throughput asserts.
-struct FaultPipelineConfig {
-  bool enabled = false;
-  uint32_t depth = 8;  // Max outstanding demand faults per core (>= 1).
-};
 
 // Lifecycle of one parked fault continuation. The sim resolves the whole
 // remote timeline (retries, backoff, EC decode, failover) at issue time via
@@ -58,7 +48,9 @@ struct FaultFiber {
 
 // Per-core ring of outstanding fault continuations. Deliberately tiny and
 // deterministic: depth is single-digit-to-dozens, so linear scans beat any
-// heap, and every ordering rule is explicit enough to unit-test.
+// heap, and every ordering rule is explicit enough to unit-test. Depth 1
+// (DilosConfig::fault_pipeline_depth's default) admits one outstanding fault
+// per core: every fault waits for its own completion.
 class FaultPipeline {
  public:
   explicit FaultPipeline(uint32_t depth) : depth_(depth == 0 ? 1 : depth) {
@@ -124,7 +116,7 @@ class FaultPipeline {
     return out->size() - start;
   }
 
-  // External resolution: the page was resolved without a pipeline resume (a
+  // External resolution: the page was resolved without a harvest (a
   // second touch waited on it directly, or FreeRegion tore the region down).
   // True if a fiber for `page_va` was parked here and is now retired.
   bool Retire(uint64_t page_va) {

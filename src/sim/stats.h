@@ -139,8 +139,8 @@ class LatencyBreakdown {
   X(kv_scan_prefetch_pages, kv)          /* Leaf pages prefetched by scan guidance. */             \
   /* --- Async fault pipeline (src/sim/fiber.h, DESIGN.md §12) --- */                              \
   X(fault_parks, pipeline)               /* Demand faults that parked a fiber. */                  \
-  X(fault_resumes, pipeline)             /* Parked fibers resumed by a harvest. */                 \
-  X(fault_batched_installs, pipeline)    /* Harvest batches committed (1 TLB flush each). */       \
+  X(fault_resumes, pipeline)             /* Parked fibers installed (harvest or direct touch). */  \
+  X(fault_batched_installs, pipeline)    /* Install batches committed (1 TLB flush each). */       \
   X(fault_pipeline_stalls, pipeline)     /* Handler waits forced by the depth limit. */            \
   X(fault_inflight, pipeline)            /* Gauge: currently parked demand faults. */              \
   X(fault_inflight_peak, pipeline)       /* High-water mark of fault_inflight. */

@@ -14,15 +14,28 @@
 // sum(on-path phases) must equal the measured end-to-end latency within 1%
 // (it is exact by construction in the simulator; the 1% gate catches any
 // future stamping drift). `sum_violations()` counts faults that broke the
-// gate and CI asserts it stays zero across the blocking, pipelined,
+// gate and CI asserts it stays zero across the depth-1, depth-8,
 // EC-degraded, tier-hit, and retry-storm paths (tests/test_attribution.cc).
+//
+// A remote fault's window runs from handler entry to the TLB flush of the
+// batch that installs its page. Up to its fetch completion (`done`) it is
+// tiled by handler, alloc and the fetch phases (lane-wait, wire, backoff,
+// ec-decode). From `done` on, kMap is the fault's own PTE install plus the
+// batch's one TLB flush, and kOverlap is everything else before that flush:
+// hidden work that outran the fetch, and at depth > 1 also the coalesced
+// poll, other faults' handlers, and the other installs of its batch. The
+// fiber resume that follows the flush (depth > 1) is outside every window.
+// At depth 1 a fault waits for its own completion, and its batch holds only
+// its own install.
 //
 // Two phases are deliberately *off-path* and excluded from the tiling sum:
 //   - kHeal: checksum heal-in-place is posted at the fault's wire cursor but
 //     never advances it — the repair overlaps the remainder of the fault.
-//   - kStall: a pipeline depth-limit stall waits on the *oldest* parked
-//     fiber, whose own wire phases already cover that wall-clock interval;
-//     charging it on-path would double-count the wire.
+//   - kStall: a depth-limit stall that waits for *another* fault's
+//     completion (depth > 1), time that fault's own phases already cover;
+//     charging it on-path would double-count it. A stall that waits for the
+//     fault's own completion is covered by its fetch phases and is not
+//     charged at all.
 // Both are still recorded (they answer "how much healing / stalling is this
 // tenant seeing"), just not summed against end-to-end latency.
 #ifndef DILOS_SRC_TELEMETRY_ATTRIBUTION_H_
@@ -58,14 +71,12 @@ namespace dilos {
   X(kEcDecode, "ec-decode", true)                                                                  \
   /* Compressed-tier hit: blob decode into the frame. */                                           \
   X(kDecompress, "decompress", true)                                                               \
-  /* Blocking path only: prefetch-issue / guide / tracker work that spilled past */                \
-  /* fetch completion (work the fetch could not hide). */                                          \
+  /* Data arrived, install waits for the core: hidden work that outran the fetch, */               \
+  /* the coalesced poll and other faults' handlers and installs (depth > 1). */                    \
   X(kOverlap, "overlap", true)                                                                     \
-  /* Pipelined path: fiber parked awaiting completion + harvest queue. */                          \
-  X(kPark, "park", true)                                                                           \
-  /* PTE install + TLB shootdown (+ fiber resume on the pipeline). */                              \
+  /* The fault's own PTE install + its install batch's TLB flush. */                               \
   X(kMap, "map", true)                                                                             \
-  /* OFF-PATH: depth-limit stall waiting on the oldest parked fiber. */                            \
+  /* OFF-PATH: depth-limit stall waiting on another fault's completion. */                         \
   X(kStall, "stall", false)                                                                        \
   /* OFF-PATH: checksum heal-in-place posted without advancing the fault. */                       \
   X(kHeal, "heal", false)
@@ -88,7 +99,7 @@ constexpr bool FaultPhaseOnPath(FaultPhase p) {
 }
 
 // One fault's phase vector. Owned by the runtime's per-core fault scope (or
-// a parked-fiber slot on the pipelined path) — preallocated, so stamping
+// a parked-fiber slot once a remote fault parks) — preallocated, so stamping
 // never allocates on the fault path.
 struct FaultSlice {
   uint64_t ns[kFaultPhaseCount] = {};

@@ -4,10 +4,11 @@
 //
 //  - The tiling invariant: for every committed fault, the on-path phase sum
 //    equals the measured end-to-end latency within 1% (exact by construction
-//    in the simulator) — checked across the blocking, pipelined-depth-8,
-//    EC-degraded, tier-hit, and retry-storm fault paths.
+//    in the simulator) — checked across the depth-1, depth-8, EC-degraded,
+//    tier-hit, and retry-storm fault paths.
 //  - Phase presence: each path lights up exactly the phases its mechanism
-//    implies (kPark only when pipelined, kEcDecode only degraded, ...).
+//    implies (kStall only when another fault is waited for, kEcDecode only
+//    degraded, ...).
 //  - The tier-corrupt fallback is ONE fault: a single kFault span (and a
 //    single attribution commit) covers the failed tier attempt plus the
 //    remote retry.
@@ -128,22 +129,41 @@ TEST(AttributionInvariant, BlockingPathTilesExactly) {
   EXPECT_EQ(VerifySweep(rt, region, pages), 0u);
 
   // Readahead absorbs most of the sequential sweep; only the demand faults
-  // that actually ran the blocking path commit slices.
+  // that actually ran the fault path commit slices.
   ExpectTilesExactly(rt, /*min_commits=*/16);
   const FaultAttribution& a = Attr(rt);
   EXPECT_GT(a.TotalNs(FaultPhase::kHandler), 0u);
   EXPECT_GT(a.TotalNs(FaultPhase::kWire), 0u);
   EXPECT_GT(a.TotalNs(FaultPhase::kMap), 0u);
-  EXPECT_EQ(a.TotalNs(FaultPhase::kPark), 0u) << "no pipeline, no park";
-  EXPECT_EQ(a.TotalNs(FaultPhase::kStall), 0u);
+  EXPECT_EQ(a.TotalNs(FaultPhase::kOverlap), 0u) << "the fetch hides all the work";
+  EXPECT_EQ(a.TotalNs(FaultPhase::kStall), 0u) << "depth 1 only waits for its own fault";
+  // At depth 1 (the default) every phase total equals the one recorded from
+  // the former blocking fault path: a fault's window closes after the TLB
+  // flush of its install, and its wait for its own completion is no stall.
+  const uint64_t recorded[kFaultPhaseCount] = {
+      21'420,  // handler
+      0,       // alloc
+      0,       // lane-wait
+      81'056,  // wire
+      0,       // backoff
+      0,       // ec-decode
+      0,       // decompress
+      0,       // overlap
+      5'100,   // map
+      0,       // stall
+      0,       // heal
+  };
+  for (size_t i = 0; i < kFaultPhaseCount; ++i) {
+    auto p = static_cast<FaultPhase>(i);
+    EXPECT_EQ(a.TotalNs(p), recorded[i]) << FaultPhaseName(p);
+  }
 }
 
 TEST(AttributionInvariant, PipelinedDepth8TilesExactly) {
   Fabric fabric(CostModel::Default(), 1);
   DilosConfig cfg;
   cfg.local_mem_bytes = 64 * kPageSize;
-  cfg.fault_pipeline.enabled = true;
-  cfg.fault_pipeline.depth = 8;
+  cfg.fault_pipeline_depth = 8;
   cfg.telemetry.attribution = true;
   DilosRuntime rt(fabric, cfg, std::make_unique<ReadaheadPrefetcher>());
   const uint64_t pages = 512;
@@ -154,8 +174,8 @@ TEST(AttributionInvariant, PipelinedDepth8TilesExactly) {
   EXPECT_EQ(rt.stats().fault_inflight, 0u);
   ExpectTilesExactly(rt, /*min_commits=*/64);
   const FaultAttribution& a = Attr(rt);
-  EXPECT_GT(a.TotalNs(FaultPhase::kPark), 0u)
-      << "parked fibers must attribute their wait";
+  EXPECT_GT(a.TotalNs(FaultPhase::kOverlap), 0u)
+      << "parked fibers must attribute their wait for the core";
   EXPECT_GT(rt.stats().fault_parks, 0u);
 }
 
@@ -467,8 +487,7 @@ RuntimeStats RunObservedWorkload(bool observe) {
   cfg.local_mem_bytes = 32 * kPageSize;
   cfg.replication = 2;
   cfg.recovery.enabled = true;
-  cfg.fault_pipeline.enabled = true;
-  cfg.fault_pipeline.depth = 4;
+  cfg.fault_pipeline_depth = 4;
   if (observe) {
     cfg.telemetry.attribution = true;
     cfg.telemetry.slo.enabled = true;

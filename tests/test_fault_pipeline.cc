@@ -1,12 +1,12 @@
-// Async fault pipeline (src/sim/fiber.h + the pipelined demand-fault path in
+// Async fault pipeline (src/sim/fiber.h + the demand-fault path in
 // src/dilos/runtime.cc, DESIGN.md §12):
 //
 //  - FaultPipeline scheduler core: deterministic park/harvest ordering,
 //    depth-limit backpressure, completion coalescing, external retire.
-//  - Runtime integration: depth 1 reproduces the blocking fault path
-//    bit-exactly (counts and clock) for every prefetcher variant; deeper
-//    pipelines overlap faults, batch installs, resume direct touches of
-//    parked pages, quiesce cleanly, and survive region teardown.
+//  - Runtime integration: the default depth 1 reproduces the recorded
+//    blocking timeline bit-exactly (counts and clock) for every prefetcher
+//    variant; deeper pipelines overlap faults, batch installs, resume direct
+//    touches of parked pages, quiesce cleanly, and survive region teardown.
 //  - Telemetry: fault-park / fault-resume spans nest under the demand-fault
 //    span; the counter-invariant checker catches impossible pipeline counts.
 //  - Chaos: the 32-seed mixed-fault soak of test_chaos.cc rerun with the
@@ -126,10 +126,7 @@ TEST(FaultPipelineCore, RetireRemovesByPageAndFreesASlot) {
 DilosConfig PipeConfig(uint32_t depth, uint64_t local_bytes = 64 * kPageSize) {
   DilosConfig cfg;
   cfg.local_mem_bytes = local_bytes;
-  if (depth > 0) {
-    cfg.fault_pipeline.enabled = true;
-    cfg.fault_pipeline.depth = depth;
-  }
+  cfg.fault_pipeline_depth = depth;
   return cfg;
 }
 
@@ -166,24 +163,29 @@ SweepOutcome RunSweep(uint32_t depth, MakePf make_prefetcher, uint64_t pages = 2
 }
 
 TEST(FaultPipelineRuntime, DepthOneIsBitIdenticalToBlockingForEveryVariant) {
-  // The strongest form of the depth-1 gate: not just equal fault counts but
-  // an identical simulated timeline, for all three prefetcher variants —
-  // fiber-switch costs are only charged at depth > 1, so any divergence
+  // The default runtime (depth 1: each fault waits for its own completion)
+  // must reproduce, for all three prefetcher variants, the fault counts and
+  // the simulated timeline recorded from the former blocking fault path.
+  // Fiber-switch costs are only charged at depth > 1, so any divergence
   // here is a path that forgot the rule.
-  auto variants = {0, 1, 2};
-  for (int v : variants) {
+  ASSERT_EQ(DilosConfig().fault_pipeline_depth, 1u);
+  const SweepOutcome recorded[] = {
+      {256, 0, 0, 809'984, 1'060'864},  // NullPrefetcher
+      {34, 188, 0, 254'284, 505'164},   // ReadaheadPrefetcher
+      {43, 98, 0, 242'856, 493'736},    // TrendPrefetcher
+  };
+  for (int v = 0; v < 3; ++v) {
     auto make = [v]() -> std::unique_ptr<Prefetcher> {
       if (v == 0) return std::make_unique<NullPrefetcher>();
       if (v == 1) return std::make_unique<ReadaheadPrefetcher>();
       return std::make_unique<TrendPrefetcher>();
     };
-    SweepOutcome blocking = RunSweep(0, make);
     SweepOutcome d1 = RunSweep(1, make);
-    EXPECT_EQ(blocking.major, d1.major) << "variant " << v;
-    EXPECT_EQ(blocking.minor, d1.minor) << "variant " << v;
-    EXPECT_EQ(blocking.zero, d1.zero) << "variant " << v;
-    EXPECT_EQ(blocking.elapsed, d1.elapsed) << "variant " << v;
-    EXPECT_EQ(blocking.end_ns, d1.end_ns) << "variant " << v;
+    EXPECT_EQ(d1.major, recorded[v].major) << "variant " << v;
+    EXPECT_EQ(d1.minor, recorded[v].minor) << "variant " << v;
+    EXPECT_EQ(d1.zero, recorded[v].zero) << "variant " << v;
+    EXPECT_EQ(d1.elapsed, recorded[v].elapsed) << "variant " << v;
+    EXPECT_EQ(d1.end_ns, recorded[v].end_ns) << "variant " << v;
   }
 }
 
@@ -225,8 +227,8 @@ TEST(FaultPipelineRuntime, OverlapBeatsBlockingAndAccountsEveryFiber) {
     EXPECT_EQ(rt.pipeline(c)->size(), 0u);
   }
 
-  auto blocking = RunSweep(0, [] { return std::make_unique<NullPrefetcher>(); }, pages);
-  EXPECT_LT(piped_elapsed, blocking.elapsed) << "overlap must shorten the demand sweep";
+  auto depth1 = RunSweep(1, [] { return std::make_unique<NullPrefetcher>(); }, pages);
+  EXPECT_LT(piped_elapsed, depth1.elapsed) << "overlap must shorten the demand sweep";
 }
 
 TEST(FaultPipelineRuntime, DepthLimitBackpressureStallsAndNeverExceedsDepth) {
@@ -272,8 +274,8 @@ TEST(FaultPipelineRuntime, TouchingAParkedPageResumesItWithoutAMinorFault) {
   uint64_t resumes0 = st.fault_resumes;
 
   // ...so an immediate second touch finds the parked fiber and resumes it
-  // directly. In blocking mode this touch would have been a plain local hit;
-  // counting it a minor fault would skew cross-mode comparisons.
+  // directly. At depth 1 this touch would have been a plain local hit;
+  // counting it a minor fault would skew comparisons across depths.
   EXPECT_EQ(rt.Read<uint64_t>(region), 0u ^ 0x77);
   EXPECT_EQ(st.minor_faults, minor0) << "a parked-page touch is a resume, not a minor fault";
   EXPECT_EQ(st.fault_resumes, resumes0 + 1);
@@ -413,7 +415,7 @@ uint64_t SeedBase() {
 // windows, continuous wire flips, scoped storage rot) with the fault
 // pipeline at depth 8: every demand fault in the load loop overlaps with
 // its neighbors, and the retry/EC/heal machinery runs inside parked-fiber
-// timelines. Asserts the same bar as blocking mode — no wrong read, no lost
+// timelines. Asserts the same bar as depth 1 — no wrong read, no lost
 // acked write, no abandoned fetch — plus the pipeline's own: no stuck fault.
 void PipelineChaosSoak(uint64_t seed, bool ec) {
   Fabric fabric(CostModel::Default(), ec ? 5 : 3);
@@ -432,8 +434,7 @@ void PipelineChaosSoak(uint64_t seed, bool ec) {
   cfg.recovery.enabled = true;
   cfg.fault_seed = seed;
   cfg.pm.scrub_pages_per_tick = 64;
-  cfg.fault_pipeline.enabled = true;
-  cfg.fault_pipeline.depth = 8;
+  cfg.fault_pipeline_depth = 8;
   if (ec) {
     cfg.ec.enabled = true;
     cfg.ec.k = 2;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -48,12 +49,7 @@ std::vector<uint8_t> MakeData(Profile profile, size_t n, uint64_t seed) {
   return data;
 }
 
-using SzipParam = std::tuple<Profile, size_t>;
-
-class SzipRoundTrip : public ::testing::TestWithParam<SzipParam> {};
-
-TEST_P(SzipRoundTrip, HostBufferExact) {
-  auto [profile, n] = GetParam();
+void HostBufferExact(Profile profile, size_t n) {
   std::vector<uint8_t> src = MakeData(profile, n, 42);
   std::vector<uint8_t> comp;
   SzipCompressBlock(src.data(), src.size(), &comp);
@@ -62,11 +58,7 @@ TEST_P(SzipRoundTrip, HostBufferExact) {
   ASSERT_EQ(back, src);
 }
 
-TEST_P(SzipRoundTrip, CompressionRatioSane) {
-  auto [profile, n] = GetParam();
-  if (n < 256) {
-    GTEST_SKIP() << "ratio not meaningful for tiny inputs";
-  }
+void CompressionRatioSane(Profile profile, size_t n) {
   std::vector<uint8_t> src = MakeData(profile, n, 43);
   std::vector<uint8_t> comp;
   SzipCompressBlock(src.data(), src.size(), &comp);
@@ -87,11 +79,7 @@ TEST_P(SzipRoundTrip, CompressionRatioSane) {
   }
 }
 
-TEST_P(SzipRoundTrip, ThroughFarMemoryExact) {
-  auto [profile, n] = GetParam();
-  if (n < 64) {
-    GTEST_SKIP() << "far path exercises block framing; trivial below a block";
-  }
+void ThroughFarMemoryExact(Profile profile, size_t n) {
   Fabric fabric;
   DilosConfig cfg;
   cfg.local_mem_bytes = 256 * 1024;  // Pressure during the stream.
@@ -110,12 +98,52 @@ TEST_P(SzipRoundTrip, ThroughFarMemoryExact) {
   ASSERT_EQ(back, src);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SzipRoundTrip,
-    ::testing::Combine(::testing::Values(Profile::kZeros, Profile::kRuns, Profile::kText,
-                                         Profile::kRandom, Profile::kAlternating),
-                       ::testing::Values(size_t{1}, size_t{255}, size_t{4096}, size_t{65536},
-                                         size_t{200000})));
+using SzipParam = std::tuple<Profile, size_t>;
+using SzipProperty = void (*)(Profile, size_t);
+
+class SzipRoundTrip : public ::testing::Test {
+ public:
+  SzipRoundTrip(SzipProperty property, SzipParam param) : property_(property), param_(param) {}
+  void TestBody() override { property_(std::get<0>(param_), std::get<1>(param_)); }
+
+ private:
+  SzipProperty property_;
+  SzipParam param_;
+};
+
+// Registers `property` as Sweep/SzipRoundTrip.<name>/<i> over the profile x
+// size sweep, skipping sizes below `min_size`. Names follow
+// INSTANTIATE_TEST_SUITE_P's scheme: <i> is the combination's index in the
+// full sweep and gtest prints the parameter, so each combination has the
+// same name in every property it runs under.
+void RegisterSweep(const char* name, SzipProperty property, size_t min_size) {
+  const Profile profiles[] = {Profile::kZeros, Profile::kRuns, Profile::kText, Profile::kRandom,
+                              Profile::kAlternating};
+  const size_t sizes[] = {1, 255, 4096, 65536, 200000};
+  int index = 0;
+  for (Profile profile : profiles) {
+    for (size_t n : sizes) {
+      SzipParam param{profile, n};
+      std::string test = std::string(name) + "/" + std::to_string(index++);
+      if (n < min_size) {
+        continue;
+      }
+      ::testing::RegisterTest(
+          "Sweep/SzipRoundTrip", test.c_str(), nullptr, ::testing::PrintToString(param).c_str(),
+          __FILE__, __LINE__,
+          [=]() -> SzipRoundTrip* { return new SzipRoundTrip(property, param); });
+    }
+  }
+}
+
+[[maybe_unused]] const bool kSweepRegistered = [] {
+  RegisterSweep("HostBufferExact", HostBufferExact, 0);
+  // The ratio is not meaningful for tiny inputs.
+  RegisterSweep("CompressionRatioSane", CompressionRatioSane, 256);
+  // The far path exercises block framing, which is trivial below a block.
+  RegisterSweep("ThroughFarMemoryExact", ThroughFarMemoryExact, 64);
+  return true;
+}();
 
 TEST(SzipEdge, MatchAtBlockTail) {
   // A match whose extension runs exactly to the end of the input.

@@ -101,6 +101,78 @@ TEST(RuntimeEdge, GuidedPagingWithReplicationStaysConsistent) {
   }
 }
 
+// Reports the first 64 bytes of a page live for its next `armed` evictions
+// only; every other eviction moves the whole page (kRemote PTE).
+class OneShotLiveGuide : public Guide {
+ public:
+  bool LiveSegments(uint64_t, std::vector<PageSegment>* segs) override {
+    if (armed == 0) {
+      return false;
+    }
+    --armed;
+    segs->assign({{0, 64}});
+    return true;
+  }
+  int armed = 0;
+};
+
+TEST(RuntimeEdge, ActionFaultUnderDirectReclaimReadsItsOwnSegments) {
+  // An action-PTE fault whose frame allocation falls into direct reclaim:
+  // the eviction it runs records a new action slot, which grows the action
+  // log from one entry to two and moves the fault's own segment list. The
+  // fault must fetch through the list as it is after the allocation.
+  Fabric fabric;
+  DilosConfig cfg;
+  cfg.local_mem_bytes = 64 * kPageSize;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  OneShotLiveGuide guide;
+  rt.set_guide(&guide);
+  const uint64_t pages = 256;
+  uint64_t region = rt.AllocRegion(pages * kPageSize);
+  for (uint64_t p = 0; p < pages; ++p) {
+    rt.Write<uint64_t>(region + p * kPageSize, p * 13 + 7);
+  }
+  for (uint64_t p = 0; p < pages; ++p) {
+    ASSERT_EQ(rt.Read<uint64_t>(region + p * kPageSize), p * 13 + 7);
+  }
+  auto action_pages = [&] {
+    std::vector<uint64_t> out;
+    for (uint64_t p = 0; p < pages; ++p) {
+      if (PteTagOf(rt.page_table().Get(region + p * kPageSize)) == PteTag::kAction) {
+        out.push_back(p);
+      }
+    }
+    return out;
+  };
+  ASSERT_TRUE(action_pages().empty());
+
+  // One background eviction records action slot 0.
+  guide.armed = 1;
+  ASSERT_EQ(rt.Read<uint64_t>(region), 7u);
+  std::vector<uint64_t> first = action_pages();
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(guide.armed, 0);
+
+  // Empty the free pool so the action fault's frame comes from direct
+  // reclaim, whose eviction records action slot 1.
+  std::vector<uint32_t> held;
+  while (std::optional<uint32_t> f = rt.frame_pool().Alloc()) {
+    held.push_back(*f);
+  }
+  uint64_t reclaims0 = rt.page_manager().direct_reclaims();
+  guide.armed = 1;
+  EXPECT_EQ(rt.Read<uint64_t>(region + first[0] * kPageSize), first[0] * 13 + 7);
+  EXPECT_EQ(rt.page_manager().direct_reclaims(), reclaims0 + 1);
+  EXPECT_EQ(guide.armed, 0) << "the direct-reclaim eviction must record an action slot";
+  for (uint32_t f : held) {
+    rt.frame_pool().Free(f);
+  }
+  std::vector<uint64_t> second = action_pages();
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_NE(second[0], first[0]);
+  EXPECT_EQ(rt.Read<uint64_t>(region + second[0] * kPageSize), second[0] * 13 + 7);
+}
+
 TEST(RuntimeEdge, SingleByteAndFullPagePins) {
   Fabric fabric;
   DilosConfig cfg;
