@@ -49,15 +49,15 @@ class BenchJson {
   }
 
   void Config(const std::string& key, const std::string& value) {
-    Append(&ConfigOf(), key, "\"" + value + "\"");
+    Append(&Record::config, key, "\"" + value + "\"");
   }
-  void Config(const std::string& key, double value) { Append(&ConfigOf(), key, Num(value)); }
+  void Config(const std::string& key, double value) { Append(&Record::config, key, Num(value)); }
   void Config(const std::string& key, uint64_t value) {
-    Append(&ConfigOf(), key, std::to_string(value));
+    Append(&Record::config, key, std::to_string(value));
   }
-  void Metric(const std::string& key, double value) { Append(&MetricsOf(), key, Num(value)); }
+  void Metric(const std::string& key, double value) { Append(&Record::metrics, key, Num(value)); }
   void Metric(const std::string& key, uint64_t value) {
-    Append(&MetricsOf(), key, std::to_string(value));
+    Append(&Record::metrics, key, std::to_string(value));
   }
 
   // Writes the accumulated records; returns false (with a note on stderr)
@@ -90,15 +90,14 @@ class BenchJson {
     std::vector<std::string> metrics;
   };
 
-  std::vector<std::string>& ConfigOf() { return records_.back().config; }
-  std::vector<std::string>& MetricsOf() { return records_.back().metrics; }
-
-  void Append(std::vector<std::string>* list, const std::string& key,
+  // Adds one pair to the `list` half of the open record; a no-op without
+  // --json or before the first BeginRecord.
+  void Append(std::vector<std::string> Record::*list, const std::string& key,
               const std::string& rendered) {
     if (!enabled() || records_.empty()) {
       return;
     }
-    list->push_back("\"" + key + "\": " + rendered);
+    (records_.back().*list).push_back("\"" + key + "\": " + rendered);
   }
 
   static std::string Num(double v) {

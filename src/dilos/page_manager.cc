@@ -74,6 +74,13 @@ void PageManager::ReleaseAction(uint64_t log_idx) {
   }
 }
 
+bool PageManager::VectoredSegments(uint64_t page_va, std::vector<PageSegment>* segs) const {
+  // A whole-page segment list degenerates to a plain transfer.
+  return guide_ != nullptr && guide_->LiveSegments(page_va, segs) && !segs->empty() &&
+         segs->size() <= cfg_.max_vector_segs &&
+         !(segs->size() == 1 && (*segs)[0].offset == 0 && (*segs)[0].length == kPageSize);
+}
+
 void PageManager::Clean(uint64_t page_va, Pte* e, uint64_t now) {
   if ((*e & kPteDirty) == 0) {
     return;
@@ -85,13 +92,7 @@ void PageManager::Clean(uint64_t page_va, Pte* e, uint64_t now) {
   // EC write-backs are always whole pages: the parity delta must cover every
   // byte the data write changes, and vectored segment lists make the
   // old-xor-new bookkeeping cover only live bytes.
-  bool vectored = !router_.ec_enabled() && guide_ != nullptr &&
-                  guide_->LiveSegments(page_va, &segs) && !segs.empty() &&
-                  segs.size() <= cfg_.max_vector_segs;
-  // A whole-page segment list degenerates to a plain write.
-  if (vectored && segs.size() == 1 && segs[0].offset == 0 && segs[0].length == kPageSize) {
-    vectored = false;
-  }
+  bool vectored = !router_.ec_enabled() && VectoredSegments(page_va, &segs);
 
   if (vectored) {
     // Vectored write-backs store remote content like full ones and pass the
@@ -602,9 +603,7 @@ bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
       // the full (current) content, and the guide's live map tells the later
       // re-fetch which bytes are worth moving.
       std::vector<PageSegment> segs;
-      if (guide_ != nullptr && guide_->LiveSegments(page_va, &segs) && !segs.empty() &&
-          segs.size() <= cfg_.max_vector_segs &&
-          !(segs.size() == 1 && segs[0].offset == 0 && segs[0].length == kPageSize)) {
+      if (VectoredSegments(page_va, &segs)) {
         *pt_.Entry(page_va, true) = MakeActionPte(AllocActionSlot(std::move(segs)));
       } else {
         *pt_.Entry(page_va, true) = MakeRemotePte(page_va >> kPageShift);
@@ -628,9 +627,7 @@ bool PageManager::TierAdmit(uint64_t page_va, Pte* e, uint64_t now) {
     return false;
   }
   std::vector<PageSegment> segs;
-  if (guide_ != nullptr && guide_->LiveSegments(page_va, &segs) && !segs.empty() &&
-      segs.size() <= cfg_.max_vector_segs &&
-      !(segs.size() == 1 && segs[0].offset == 0 && segs[0].length == kPageSize)) {
+  if (VectoredSegments(page_va, &segs)) {
     return false;
   }
   uint32_t frame = static_cast<uint32_t>(PtePayload(*e));

@@ -98,6 +98,10 @@ class PageManager {
   // the guide provides them), clearing the dirty bit. Records the vector in
   // the action log so eviction can use it.
   void Clean(uint64_t page_va, Pte* e, uint64_t now);
+  // True when the guide's live segments of `page_va` (filled into *segs)
+  // make a vectored transfer: 1..max_vector_segs segments, not one whole
+  // page. Always false without a guide.
+  bool VectoredSegments(uint64_t page_va, std::vector<PageSegment>* segs) const;
 
   // Full-page checked write-back of `data` to every writable replica (with
   // the EC parity RMW and a write-generation bump), shared by the cleaner

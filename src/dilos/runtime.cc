@@ -131,8 +131,7 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
   for (int c = 0; c < cfg_.num_cores; ++c) {
     pipelines_.emplace_back(cfg_.fault_pipeline_depth);
   }
-  const size_t depth = pipelines_.front().depth();  // The pipeline clamps 0 to 1.
-  harvest_scratch_.reserve(depth);
+  harvest_scratch_.reserve(pipelines_.front().depth());  // The pipeline clamps 0 to 1.
   if (cfg_.recovery.enabled) {
     detector_ = std::make_unique<FailureDetector>(fabric_, router_, stats_, &tracer_,
                                                   cfg_.recovery.detector);
@@ -166,9 +165,6 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
     flight_ = telemetry_->flight();
     attr_ = telemetry_->attribution();
     slo_ = telemetry_->slo();
-    if (attr_ != nullptr) {
-      parked_slices_.resize(static_cast<size_t>(cfg_.num_cores) * depth);
-    }
     if (metrics_registry_ != nullptr) {
       // QPs (created above, via the router/detector/repair ctors) hold a
       // pointer to the fabric's registry slot, so installing now covers them.
@@ -586,19 +582,15 @@ void DilosRuntime::FreeRegion(uint64_t addr, uint64_t bytes) {
         pool_.Free(static_cast<uint32_t>(PtePayload(*e & ~(kPteAccessed | kPteDirty))));
         pm_.OnUnmapped(page_va);
         break;
-      case PteTag::kFetching: {
-        // Let the in-flight fill land in its frame, then drop it.
-        auto it = inflight_.find(page_va);
-        if (it != inflight_.end()) {
-          pool_.Free(it->second.frame);
-          if (it->second.demand && RetireParked(page_va)) {
-            stats_.fault_inflight--;  // Torn down, not resumed.
-            DropParkedSlice(page_va);  // Never installed; nothing to attribute.
-          }
-          inflight_.erase(it);
+      case PteTag::kFetching:
+        // Let the in-flight fill land in its frame, then drop it. A parked
+        // demand fault is torn down, not resumed: its fiber (and with it the
+        // fault's attribution slice) is dropped uncommitted.
+        pool_.Free(static_cast<uint32_t>(PtePayload(*e)));
+        if (inflight_.erase(page_va) == 0 && RetireParked(page_va)) {
+          stats_.fault_inflight--;
         }
         break;
-      }
       case PteTag::kAction:
         pm_.ReleaseAction(PtePayload(*e));
         break;
@@ -621,13 +613,13 @@ uint64_t DilosRuntime::MaxTimeNs() const {
   return t;
 }
 
-bool DilosRuntime::RetireParked(uint64_t page_va) {
+std::optional<FaultFiber> DilosRuntime::RetireParked(uint64_t page_va) {
   for (FaultPipeline& p : pipelines_) {
-    if (p.Retire(page_va)) {
-      return true;
+    if (std::optional<FaultFiber> f = p.Retire(page_va)) {
+      return f;
     }
   }
-  return false;
+  return std::nullopt;
 }
 
 uint32_t DilosRuntime::EnterFault(int core, uint64_t page_va, uint64_t entry_ns) {
@@ -674,11 +666,11 @@ void DilosRuntime::AttrAdd(int core, FaultPhase p, uint64_t dt) {
     return;  // Guide-context / background work with no fault in flight.
   }
   if (s.moved) {
-    // The fault already parked into the pipeline; late stamps (the
-    // depth-limit stall at end of handler) chase the parked slice.
-    ParkedSlice* ps = FindParkedSlice(s.page_va);
-    if (ps != nullptr) {
-      ps->slice.Add(p, dt);
+    // The fault already parked; the one late stamp (the depth-limit stall
+    // at the end of its handler) goes to its fiber, still on this core.
+    FaultFiber* f = pipelines_[static_cast<size_t>(core)].Find(s.page_va);
+    if (f != nullptr) {
+      f->slice.Add(p, dt);
     }
     return;
   }
@@ -704,59 +696,12 @@ void DilosRuntime::CommitFaultSlice(const FaultSlice& slice, uint64_t page_va,
   }
 }
 
-DilosRuntime::ParkedSlice* DilosRuntime::FindParkedSlice(uint64_t page_va) {
-  for (ParkedSlice& p : parked_slices_) {
-    if (p.used && p.page_va == page_va) {
-      return &p;
-    }
-  }
-  return nullptr;
-}
-
-void DilosRuntime::ParkFaultSlice(int core, uint64_t page_va, uint64_t done_ns) {
-  FaultScope& s = fault_scope_[static_cast<size_t>(core)];
-  if (s.depth == 0) {
-    return;
-  }
-  // The scope hands its slice to the pipeline even when attribution is off
-  // in the narrow sense (attr_ null => pool is empty and the loop is a
-  // no-op); `moved` still flips so EndFault knows not to commit.
-  for (ParkedSlice& p : parked_slices_) {
-    if (!p.used) {
-      p.used = true;
-      p.page_va = page_va;
-      p.done_ns = done_ns;
-      p.slice = s.slice;
-      s.moved = true;
-      return;
-    }
-  }
-  // Pool exhausted (cannot happen: sized cores x depth, the pipeline admits
-  // at most depth fibers per core). Drop attribution rather than misattribute.
-  s.moved = true;
-}
-
-void DilosRuntime::CommitParkedSlice(uint64_t page_va, uint64_t end_ns) {
-  ParkedSlice* ps = FindParkedSlice(page_va);
-  if (ps == nullptr) {
-    return;
-  }
+void DilosRuntime::CommitParkedSlice(FaultFiber& fiber, uint64_t end_ns) {
   const uint64_t map_ns = cost_.dilos_map_ns + cost_.map_tlb_flush_ns;
   // end_ns >= done_ns + map_ns: the install starts after the data arrived.
-  ps->slice.Add(FaultPhase::kOverlap, end_ns - ps->done_ns - map_ns);
-  ps->slice.Add(FaultPhase::kMap, map_ns);
-  CommitFaultSlice(ps->slice, page_va, end_ns);
-  ps->used = false;
-}
-
-void DilosRuntime::DropParkedSlice(uint64_t page_va) {
-  if (attr_ == nullptr) {
-    return;
-  }
-  ParkedSlice* p = FindParkedSlice(page_va);
-  if (p != nullptr) {
-    p->used = false;
-  }
+  fiber.slice.Add(FaultPhase::kOverlap, end_ns - fiber.done_ns - map_ns);
+  fiber.slice.Add(FaultPhase::kMap, map_ns);
+  CommitFaultSlice(fiber.slice, fiber.page_va, end_ns);
 }
 
 void DilosRuntime::HarvestFaultPipeline(int core, uint64_t now) {
@@ -778,35 +723,27 @@ void DilosRuntime::HarvestFaultPipeline(int core, uint64_t now) {
 void DilosRuntime::InstallFibers(int core, uint32_t resume_span) {
   Clock& clk = clocks_[static_cast<size_t>(core)];
   LatencyBreakdown& bd = stats_.fault_breakdown;
-  size_t installed = 0;
+  // Every fiber still owns its page: FreeRegion retires the fibers it tears
+  // down, so none reaches an install.
   for (const FaultFiber& f : harvest_scratch_) {
-    auto it = inflight_.find(f.page_va);
-    if (it == inflight_.end()) {
-      DropParkedSlice(f.page_va);
-      continue;  // Resolved externally (freed region) between park and poll.
-    }
-    MapInflight(f.page_va, it->second, f.write);
-    inflight_.erase(it);
+    MapInflight(f.page_va, kPteAccessed | (f.write ? kPteDirty : 0));
     clk.Advance(cost_.dilos_map_ns);
     bd.Add(LatComp::kMap, cost_.dilos_map_ns);
     stats_.fault_resumes++;
     stats_.fault_inflight--;
-    ++installed;
   }
-  if (installed > 0) {
-    // The batch commits with a single TLB/PTE flush — the install cost the
-    // pipeline amortizes over the whole batch.
-    clk.Advance(cost_.map_tlb_flush_ns);
-    bd.Add(LatComp::kMap, cost_.map_tlb_flush_ns);
-    stats_.fault_batched_installs++;
-    if (attr_ != nullptr) {
-      for (const FaultFiber& f : harvest_scratch_) {
-        CommitParkedSlice(f.page_va, clk.now());
-      }
+  // The batch commits with a single TLB/PTE flush — the install cost the
+  // pipeline amortizes over the whole batch.
+  clk.Advance(cost_.map_tlb_flush_ns);
+  bd.Add(LatComp::kMap, cost_.map_tlb_flush_ns);
+  stats_.fault_batched_installs++;
+  if (attr_ != nullptr) {
+    for (FaultFiber& f : harvest_scratch_) {
+      CommitParkedSlice(f, clk.now());
     }
-    if (pipelines_[static_cast<size_t>(core)].depth() > 1) {
-      clk.Advance(cost_.fiber_resume_ns);
-    }
+  }
+  if (pipelines_[static_cast<size_t>(core)].depth() > 1) {
+    clk.Advance(cost_.fiber_resume_ns);
   }
   tracer_.EndSpan(resume_span, clk.now());
 }
@@ -833,12 +770,9 @@ uint8_t* DilosRuntime::Pin(uint64_t vaddr, uint32_t len, bool write, int core) {
   return HandleFault(vaddr, len, write, core);
 }
 
-void DilosRuntime::MapInflight(uint64_t page_va, const Inflight& inf, bool as_write) {
-  Pte pte = MakeLocalPte(inf.frame, /*writable=*/true) | kPteAccessed;
-  if (as_write || inf.write) {
-    pte |= kPteDirty;
-  }
-  *pt_.Entry(page_va, true) = pte;
+void DilosRuntime::MapInflight(uint64_t page_va, Pte bits) {
+  Pte* e = pt_.Entry(page_va, true);
+  *e = MakeLocalPte(PtePayload(*e), /*writable=*/true) | bits;
   pm_.OnMapped(page_va);
 }
 
@@ -846,12 +780,10 @@ void DilosRuntime::DrainArrivals(uint64_t now) {
   // The fault handler maps arrived prefetches while it waits; pages mapped
   // here are never faulted on at all (Table 3's "fewer minor faults").
   for (auto it = inflight_.begin(); it != inflight_.end();) {
-    if (!it->second.demand && it->second.done_ns <= now) {
-      MapInflight(it->first, it->second, /*as_write=*/false);
+    if (it->second <= now) {
       // Mapping from the handler does not set the accessed bit: the app has
       // not touched the page yet, so the hit tracker can still observe it.
-      Pte* e = pt_.Entry(it->first, true);
-      *e &= ~kPteAccessed;
+      MapInflight(it->first, /*bits=*/0);
       stats_.prefetch_mapped_early++;
       it = inflight_.erase(it);
     } else {
@@ -922,7 +854,7 @@ bool DilosRuntime::StartPrefetch(uint64_t page_va, uint64_t issue_ns, int core,
     return false;
   }
   *e = MakeFetchingPte(*fid);
-  inflight_[page_va] = Inflight{*fid, c.completion_time_ns, false, false};
+  inflight_[page_va] = c.completion_time_ns;
   stats_.prefetch_issued++;
   stats_.bytes_fetched += kPageSize;
   tracer_.Record(issue_ns, TraceEvent::kPrefetchIssue, page_va);
@@ -976,8 +908,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
     }
 
     case PteTag::kFetching: {
-      auto it = inflight_.find(page_va);
-      if (it != inflight_.end() && it->second.demand && RetireParked(page_va)) {
+      if (std::optional<FaultFiber> fiber = RetireParked(page_va)) {
         // Touch of a page whose own demand fault is still parked (depth > 1):
         // wait for its data and install that fiber directly, as a batch of
         // one, instead of counting a new minor fault — at depth 1 this second
@@ -985,25 +916,27 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         // resolved in-handler.
         uint32_t resume_span =
             tracer_.BeginSpan(SpanKind::kFaultResume, clk.now(), page_va, /*detail=*/1);
-        clk.AdvanceTo(it->second.done_ns);
-        FaultFiber fiber;
-        fiber.page_va = page_va;
-        fiber.write = write;  // MapInflight ORs in the parked fault's own write.
-        harvest_scratch_.assign(1, fiber);
+        clk.AdvanceTo(fiber->done_ns);
+        fiber->write = fiber->write || write;  // Dirty if either access wrote.
+        harvest_scratch_.assign(1, *fiber);
         InstallFibers(core, resume_span);
         DrainArrivals(clk.now());
         Background(clk.now(), page_va);
         break;
       }
-      // Minor fault: the page is in flight (prefetch or another core's
-      // demand). Let window prefetchers stream ahead while we wait.
+      // Minor fault: the page is in flight for a prefetch. Let window
+      // prefetchers stream ahead while we wait.
       stats_.minor_faults++;
       tracer_.Record(clk.now(), TraceEvent::kMinorFault, page_va);
+      auto it = inflight_.find(page_va);
       if (it == inflight_.end()) {
         // Another core mapped it between our check and now (model artifact);
         // retry the walk.
         return Pin(vaddr, len, write, core);
       }
+      // Read now: the prefetches below insert into inflight_, and a rehash
+      // would invalidate `it`.
+      const uint64_t done_ns = it->second;
       FaultInfo info{vaddr, write, /*major=*/false, tracker_.hit_ratio()};
       RunPrefetcher(info, core);
       if (guide_ != nullptr) {
@@ -1012,10 +945,12 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         RuntimeGuideContext ctx(*this, core, clk.now());
         guide_->OnFault(ctx, vaddr, write);
       }
-      Inflight inf = it->second;
-      inflight_.erase(it);
-      clk.AdvanceTo(inf.done_ns);
-      MapInflight(page_va, inf, write);
+      // Erased only after that work: the erase point shapes inflight_'s
+      // iteration order, and so the order in which DrainArrivals maps
+      // arrived prefetches into the LRU.
+      inflight_.erase(page_va);
+      clk.AdvanceTo(done_ns);
+      MapInflight(page_va, kPteAccessed | (write ? kPteDirty : 0));
       clk.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
       DrainArrivals(clk.now());
       Background(clk.now(), page_va);
@@ -1140,7 +1075,6 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         std::memset(pool_.Data(frame), 0, kPageSize);
       }
       *pt_.Entry(page_va, true) = MakeFetchingPte(frame);
-      inflight_[page_va] = Inflight{frame, done, write, true};
       FaultPipeline& pipe = pipelines_[static_cast<size_t>(core)];
       if (pipe.Full()) {
         // Defensive: the end-of-handler stall below keeps the pipeline
@@ -1151,8 +1085,9 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         AttrAdd(core, FaultPhase::kStall, stall_ns);  // Waits on other faults only.
         HarvestFaultPipeline(core, clk.now());
       }
-      pipe.Admit(page_va, frame, clk.now(), done, write);
-      ParkFaultSlice(core, page_va, done);
+      FaultScope& scope = fault_scope_[static_cast<size_t>(core)];
+      pipe.Admit(page_va, done, write, scope.slice);
+      scope.moved = true;  // The fiber now carries the slice; EndFault skips it.
       stats_.fault_parks++;
       stats_.fault_inflight++;
       if (stats_.fault_inflight > stats_.fault_inflight_peak) {

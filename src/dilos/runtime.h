@@ -12,6 +12,7 @@
 #define DILOS_SRC_DILOS_RUNTIME_H_
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -189,13 +190,6 @@ class DilosRuntime : public FarRuntime {
  private:
   friend class RuntimeGuideContext;
 
-  struct Inflight {
-    uint32_t frame = 0;
-    uint64_t done_ns = 0;
-    bool write = false;
-    bool demand = false;
-  };
-
   uint8_t* HandleFault(uint64_t vaddr, uint32_t len, bool write, int core);
   // Demand read with replica failover: bounded retry + exponential backoff,
   // re-picking the first readable replica each attempt and reporting
@@ -227,12 +221,15 @@ class DilosRuntime : public FarRuntime {
   // Cleaner/reclaimer plus recovery, one background hook.
   void Background(uint64_t now, uint64_t pinned_va);
   // Marks `page_va` fetching and posts an async read at `issue_ns` on the
-  // channel's QP toward the page's live replica. Returns false if the page
-  // is not in kRemote state or no frame is spare.
+  // channel's QP toward the page's live replica, recording its completion
+  // time in inflight_. Returns false if the page is not in kRemote state or
+  // no frame is spare.
   bool StartPrefetch(uint64_t page_va, uint64_t issue_ns, int core, CommChannel ch);
   void RunPrefetcher(const FaultInfo& info, int core);
   void DrainArrivals(uint64_t now);
-  void MapInflight(uint64_t page_va, const Inflight& inf, bool as_write);
+  // Installs an in-flight page: the frame its kFetching PTE names becomes a
+  // local mapping carrying `bits` (accessed / dirty).
+  void MapInflight(uint64_t page_va, Pte bits);
   // Entry shared by every fault that fills a frame (kRemote, kAction,
   // kTier): opens (or re-enters) the core's fault scope, charges the handler
   // entry since `entry_ns`, and allocates the frame (reclaim included).
@@ -246,9 +243,9 @@ class DilosRuntime : public FarRuntime {
   // one TLB flush, then (depth > 1) the fiber resume. Each installed fiber's
   // attribution window closes right after the flush. Ends `resume_span`.
   void InstallFibers(int core, uint32_t resume_span);
-  // Drops the parked fiber for `page_va` from whichever core's pipeline
-  // holds it (direct-touch resume, region teardown). False if none does.
-  bool RetireParked(uint64_t page_va);
+  // Removes and returns the parked fiber for `page_va` from whichever core's
+  // pipeline holds it (direct-touch resume, region teardown).
+  std::optional<FaultFiber> RetireParked(uint64_t page_va);
 
   // -- Per-fault attribution + span scoping (src/telemetry/attribution.h) ----
   //
@@ -261,16 +258,7 @@ class DilosRuntime : public FarRuntime {
     uint32_t depth = 0;
     uint32_t span = 0;
     uint64_t page_va = 0;
-    bool moved = false;  // Slice handed to a parked-fiber slot (kRemote).
-    FaultSlice slice;
-  };
-  // A parked fiber's slice between its park and the install that closes its
-  // window. Keyed by page_va (a fiber parked on one core can be resumed from
-  // another); preallocated cores x depth, linear scan.
-  struct ParkedSlice {
-    bool used = false;
-    uint64_t page_va = 0;
-    uint64_t done_ns = 0;  // Fetch completion: kOverlap runs from here.
+    bool moved = false;  // Slice handed to the parked fiber (kRemote).
     FaultSlice slice;
   };
 
@@ -278,22 +266,17 @@ class DilosRuntime : public FarRuntime {
   // ends the span and, when the slice was not handed to a parked fiber,
   // commits it at `now`.
   void EndFault(int core, uint64_t now);
-  // Adds `dt` to a phase of the core's active slice (or its parked slot once
-  // moved). No-op when attribution is off or no fault scope is open.
+  // Adds `dt` to a phase of the core's active slice (or, once the fault
+  // parked, its fiber's). No-op when attribution is off or no fault scope is
+  // open.
   void AttrAdd(int core, FaultPhase p, uint64_t dt);
   // Commits a finished slice: attribution histograms, SLO scoring, and on a
   // breach alert the flight-recorder dump with the attribution snapshot.
   void CommitFaultSlice(const FaultSlice& slice, uint64_t page_va, uint64_t end_ns);
-  ParkedSlice* FindParkedSlice(uint64_t page_va);
-  // Moves the core's active slice into a free parked slot at fetch
-  // completion time `done_ns`. No-op when attribution is off.
-  void ParkFaultSlice(int core, uint64_t page_va, uint64_t done_ns);
-  // Closes the parked slice of `page_va` at `end_ns`, right after its
-  // install batch's TLB flush: kMap is its own install plus the flush,
-  // kOverlap the rest of the time since its fetch completed. Commits it.
-  void CommitParkedSlice(uint64_t page_va, uint64_t end_ns);
-  // Drops a parked slice without committing (region teardown).
-  void DropParkedSlice(uint64_t page_va);
+  // Closes an installed fiber's slice at `end_ns`, right after its install
+  // batch's TLB flush: kMap is its own install plus the flush, kOverlap the
+  // rest of the time since its fetch completed. Commits it.
+  void CommitParkedSlice(FaultFiber& fiber, uint64_t end_ns);
 
   Fabric& fabric_;
   DilosConfig cfg_;
@@ -366,14 +349,14 @@ class DilosRuntime : public FarRuntime {
   FaultAttribution* attr_ = nullptr;
   SloEngine* slo_ = nullptr;
   // Per-core fault scopes (always sized num_cores — the span fix needs them
-  // even with attribution off) and the parked-slice pool (sized cores x
-  // pipeline depth when attribution is on).
+  // even with attribution off).
   std::vector<FaultScope> fault_scope_;
-  std::vector<ParkedSlice> parked_slices_;
   std::vector<int> replica_scratch_;  // ReplicaHasChecksumElsewhere scratch.
   std::vector<uint64_t> prefetch_scratch_;  // RunPrefetcher candidate pages.
 
-  std::unordered_map<uint64_t, Inflight> inflight_;  // Key: page vaddr.
+  // In-flight prefetches: page vaddr -> completion time. A parked demand
+  // fault is recorded only by its fiber in pipelines_.
+  std::unordered_map<uint64_t, uint64_t> inflight_;
   std::vector<FaultPipeline> pipelines_;     // One per core.
   std::vector<FaultFiber> harvest_scratch_;  // InstallFibers batch buffer.
   uint64_t next_region_ = kFarBase;

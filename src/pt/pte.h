@@ -6,7 +6,7 @@
 //
 //   present=1           -> kLocal    (bits 12.. hold the local frame number)
 //   P=0, W=1, U=0       -> kRemote   (bits 12.. hold the remote page number)
-//   P=0, W=0, U=1       -> kFetching (bits 12.. hold an in-flight slot id)
+//   P=0, W=0, U=1       -> kFetching (bits 12.. hold the frame being filled)
 //   P=0, W=1, U=1       -> kAction   (bits 12.. hold guide-defined data)
 //   P=0, SW3=1          -> kTier     (page lives in the compressed local
 //                                     tier; bits 12.. hold the page number)
@@ -68,8 +68,8 @@ inline Pte MakeLocalPte(uint64_t frame, bool writable) {
 inline Pte MakeRemotePte(uint64_t remote_page) {
   return (remote_page << kPtePayloadShift) | kPteWrite;
 }
-inline Pte MakeFetchingPte(uint64_t slot) {
-  return (slot << kPtePayloadShift) | kPteUser;
+inline Pte MakeFetchingPte(uint64_t frame) {
+  return (frame << kPtePayloadShift) | kPteUser;
 }
 inline Pte MakeActionPte(uint64_t data) {
   return (data << kPtePayloadShift) | kPteWrite | kPteUser;

@@ -45,9 +45,6 @@ void FailureDetector::ProbeAll(uint64_t now_ns) {
       continue;  // Administratively decommissioned: never probed or readmitted.
     }
     if (router_.state(n) == NodeState::kDead) {
-      if (!cfg_.readmit) {
-        continue;
-      }
       // Dead nodes keep getting probed so a restarted node (Fabric::
       // RestoreNode) is noticed. One answered probe re-admits it; a missed
       // probe changes nothing (dead stays dead, no extra strikes).
@@ -101,9 +98,6 @@ void FailureDetector::RenewLease(int node, uint64_t now_ns) {
 }
 
 void FailureDetector::ObserveRtt(int node, uint64_t rtt_ns, uint64_t now_ns) {
-  if (!cfg_.gray_detection) {
-    return;
-  }
   size_t i = static_cast<size_t>(node);
   double& ewma = rtt_ewma_[i];
   ewma = rtt_samples_[i]++ == 0
@@ -161,25 +155,6 @@ void FailureDetector::Readmit(int node, uint64_t now_ns) {
   tracer_->Record(now_ns, TraceEvent::kNodeReadmitted, 0, static_cast<uint32_t>(node));
   if (on_readmit_) {
     on_readmit_(node, now_ns);
-  }
-}
-
-Completion FailureDetector::ReadWithRetry(QueuePair* qp, int node, uint64_t local_addr,
-                                          uint64_t remote_addr, uint32_t len,
-                                          uint64_t* cursor_ns) {
-  Completion c{};
-  for (uint32_t attempt = 0;; ++attempt) {
-    c = qp->PostRead(++wr_id_, local_addr, remote_addr, len, *cursor_ns);
-    *cursor_ns = c.completion_time_ns;
-    if (c.status == WcStatus::kSuccess) {
-      OnOpSuccess(node, c.completion_time_ns);
-      return c;
-    }
-    OnOpTimeout(node, c.completion_time_ns);
-    if (attempt >= cfg_.max_retries) {
-      return c;
-    }
-    *cursor_ns += cfg_.backoff_base_ns << attempt;
   }
 }
 

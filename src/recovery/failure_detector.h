@@ -13,9 +13,9 @@
 //     ShardRouter::ReportOpFailure; each report is a strike.
 //
 // Strikes move a node live -> suspect -> dead in the ShardRouter; a single
-// successful probe or op resets them (suspect -> live). The detector also
-// provides the bounded-retry-with-exponential-backoff read used by the
-// repair manager's copy loop.
+// successful probe or op resets them (suspect -> live). Dead nodes keep
+// being probed, so a restarted node is noticed and re-admitted. The config
+// also holds the demand-read retry policy DilosRuntime::DemandFetch applies.
 #ifndef DILOS_SRC_RECOVERY_FAILURE_DETECTOR_H_
 #define DILOS_SRC_RECOVERY_FAILURE_DETECTOR_H_
 
@@ -35,11 +35,8 @@ struct FailureDetectorConfig {
   uint64_t lease_ns = 120'000;          // Liveness lease renewed by each probe.
   uint32_t suspect_after = 1;           // Strikes before live -> suspect.
   uint32_t dead_after = 3;              // Strikes before -> dead.
-  uint32_t max_retries = 3;             // Bounded retry for wrapped reads.
+  uint32_t max_retries = 3;             // Demand-read retries after a timeout.
   uint64_t backoff_base_ns = 2'000;     // Exponential backoff: base << attempt.
-  // Keep probing dead nodes; one answered probe re-admits the node as
-  // kRebuilding (its store is stale until the repair manager refills it).
-  bool readmit = true;
 
   // -- Gray-failure (alive-but-slow) detection --------------------------------
   // Each answered probe's RTT feeds a per-node EWMA; the fleet-wide minimum
@@ -49,7 +46,6 @@ struct FailureDetectorConfig {
   // replicas/EC survivors — but its answered probes keep renewing the lease,
   // so it is never declared dead. It returns to live only when the EWMA
   // drops back under baseline * gray_clear_factor (hysteresis).
-  bool gray_detection = true;
   double gray_ewma_alpha = 0.3;    // Weight of the newest probe RTT.
   double gray_trip_factor = 4.0;   // EWMA > baseline * this => suspect.
   double gray_clear_factor = 2.0;  // EWMA < baseline * this => live again.
@@ -76,12 +72,6 @@ class FailureDetector {
   // liveness bookkeeping (probes, strikes, leases) uses this horizon so a
   // node declared dead at cursor time T is never probed "before" T.
   uint64_t latest_ns() const { return latest_ns_; }
-
-  // Bounded-retry read with exponential backoff on `qp` (connected to
-  // `node`). `cursor_ns` is the caller's simulated-time cursor; it advances
-  // past each completion and backoff wait. Returns the final completion.
-  Completion ReadWithRetry(QueuePair* qp, int node, uint64_t local_addr, uint64_t remote_addr,
-                           uint32_t len, uint64_t* cursor_ns);
 
   const FailureDetectorConfig& config() const { return cfg_; }
 

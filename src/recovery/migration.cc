@@ -224,7 +224,7 @@ int MigrationManager::PickTarget(uint64_t granule, const std::vector<int>& exclu
     } else {
       uint32_t rn = target_refs_[static_cast<size_t>(n)];
       uint32_t rb = target_refs_[static_cast<size_t>(best)];
-      better = rn != rb ? rn < rb : LessLoaded(n, best);
+      better = rn != rb ? rn < rb : LessLoaded(metrics_, n, best);
     }
     if (better) {
       best = n;
@@ -233,18 +233,6 @@ int MigrationManager::PickTarget(uint64_t granule, const std::vector<int>& exclu
     }
   }
   return best;
-}
-
-bool MigrationManager::LessLoaded(int a, int b) const {
-  if (metrics_ == nullptr) {
-    return false;
-  }
-  QpMetrics ma = metrics_->NodeTotal(a);
-  QpMetrics mb = metrics_->NodeTotal(b);
-  if (ma.bytes() != mb.bytes()) {
-    return ma.bytes() < mb.bytes();
-  }
-  return ma.rtt.Percentile(99) < mb.rtt.Percentile(99);
 }
 
 void MigrationManager::Restart(uint64_t now_ns) {

@@ -166,7 +166,6 @@ class MigrationManager {
   // prefers nodes holding no member of the granule's stripe, falls back to
   // bounded co-location (resulting member count <= m).
   int PickTarget(uint64_t granule, const std::vector<int>& exclude);
-  bool LessLoaded(int a, int b) const;
   // Advances the front job; returns bytes moved.
   uint64_t DrainFront(uint64_t now_ns, uint64_t budget);
   // Emits the retroactive migrate-granule span for a finished job (recorded

@@ -77,7 +77,7 @@ int RepairManager::PickTarget(const std::vector<int>& replicas) {
     if (!better && spare == best_spare) {
       uint32_t rn = target_refs_[static_cast<size_t>(n)];
       uint32_t rb = target_refs_[static_cast<size_t>(best)];
-      better = rn != rb ? rn < rb : LessLoaded(n, best);
+      better = rn != rb ? rn < rb : LessLoaded(metrics_, n, best);
     }
     if (better) {
       best = n;
@@ -85,18 +85,6 @@ int RepairManager::PickTarget(const std::vector<int>& replicas) {
     }
   }
   return best;
-}
-
-bool RepairManager::LessLoaded(int a, int b) const {
-  if (metrics_ == nullptr) {
-    return false;  // No signal: keep the incumbent (lowest node id wins).
-  }
-  QpMetrics ma = metrics_->NodeTotal(a);
-  QpMetrics mb = metrics_->NodeTotal(b);
-  if (ma.bytes() != mb.bytes()) {
-    return ma.bytes() < mb.bytes();
-  }
-  return ma.rtt.Percentile(99) < mb.rtt.Percentile(99);
 }
 
 void RepairManager::ScanForFailures(uint64_t now_ns) {

@@ -132,8 +132,6 @@ class RepairManager {
   }
   // Replacement node for a degraded replica set, or -1 if none exists.
   int PickTarget(const std::vector<int>& replicas);
-  // True when node `a` carries strictly less observed fabric load than `b`.
-  bool LessLoaded(int a, int b) const;
   // Copies the next pages of the front job; returns bytes moved.
   uint64_t DrainFront(uint64_t now_ns, uint64_t budget);
 

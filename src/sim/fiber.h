@@ -12,38 +12,34 @@
 // (the backpressure knob), harvest returns every fiber whose completion
 // timestamp has passed — ordered by (done_ns, admission seq) so resume
 // order is deterministic — and external resolution (a second touch of the
-// page, or region teardown) retires a fiber without a harvest. The runtime
-// (src/dilos/runtime.cc) owns the other half: what a park/resume costs,
-// what a batched install commits, and how retry/EC/tier recovery states
-// fold into the parked fiber's private timeline.
+// page, or region teardown) retires a fiber without a harvest and hands it
+// back. The runtime (src/dilos/runtime.cc) owns the other half: what a
+// park/resume costs, what a batched install commits, and how retry/EC/tier
+// recovery states fold into the parked fiber's private timeline.
 #ifndef DILOS_SRC_SIM_FIBER_H_
 #define DILOS_SRC_SIM_FIBER_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
+
+#include "src/telemetry/attribution.h"
 
 namespace dilos {
 
-// Lifecycle of one parked fault continuation. The sim resolves the whole
-// remote timeline (retries, backoff, EC decode, failover) at issue time via
-// DemandFetch, so the states a real fiber would sleep through are collapsed
-// into the recorded done_ns; what remains observable is park -> ready ->
-// installed, which is what the interleaving tests pin down.
-enum class FiberState : uint8_t {
-  kParked = 0,  // Read posted, core released, completion pending.
-  kReady,       // Completion timestamp passed; harvested, install pending.
-  kInstalled,   // PTE committed by a batched install; fiber retired.
-};
-
+// One parked demand fault, and its only record: the frame being filled is
+// the one the page's kFetching PTE names. The sim resolves the whole remote
+// timeline (retries, backoff, EC decode, failover) at issue time via
+// DemandFetch, so the fiber only waits for `done_ns`, then is installed.
 struct FaultFiber {
   uint64_t page_va = 0;
-  uint32_t frame = 0;     // Frame the in-flight read fills.
-  uint64_t issue_ns = 0;  // When the fault posted its read and parked.
-  uint64_t done_ns = 0;   // Completion timestamp (includes retry/EC/backoff).
-  uint64_t seq = 0;       // Admission order; tie-break for deterministic resume.
-  bool write = false;     // Faulting access was a write (install sets dirty).
-  FiberState state = FiberState::kParked;
+  uint64_t done_ns = 0;  // Completion timestamp (includes retry/EC/backoff).
+  uint64_t seq = 0;      // Admission order; tie-break for deterministic resume.
+  bool write = false;    // Faulting access was a write (install sets dirty).
+  // The fault's attribution phases, carried from park to install (stamped
+  // only with telemetry.attribution on).
+  FaultSlice slice;
 };
 
 // Per-core ring of outstanding fault continuations. Deliberately tiny and
@@ -74,34 +70,25 @@ class FaultPipeline {
     return t;
   }
 
-  // Parks one fault. Caller must check Full() first (the runtime stalls and
-  // harvests before admitting; tests assert the refusal instead).
-  bool Admit(uint64_t page_va, uint32_t frame, uint64_t issue_ns, uint64_t done_ns,
-             bool write) {
+  // Parks one fault with the phases its handler stamped so far. Caller must
+  // check Full() first (the runtime stalls and harvests before admitting;
+  // tests assert the refusal instead).
+  bool Admit(uint64_t page_va, uint64_t done_ns, bool write, const FaultSlice& slice) {
     if (Full()) {
       return false;
     }
-    FaultFiber f;
-    f.page_va = page_va;
-    f.frame = frame;
-    f.issue_ns = issue_ns;
-    f.done_ns = done_ns;
-    f.seq = next_seq_++;
-    f.write = write;
-    f.state = FiberState::kParked;
-    fibers_.push_back(f);
+    fibers_.push_back(FaultFiber{page_va, done_ns, next_seq_++, write, slice});
     return true;
   }
 
   // Coalesced CQ poll: moves every fiber with done_ns <= now into *out
-  // (appended, marked kReady), ordered by (done_ns, seq) so the resume
-  // sequence is deterministic even when the link reorders completions.
-  // Returns the number harvested.
+  // (appended), ordered by (done_ns, seq) so the resume sequence is
+  // deterministic even when the link reorders completions. Returns the
+  // number harvested.
   size_t HarvestUpTo(uint64_t now, std::vector<FaultFiber>* out) {
     size_t start = out->size();
     for (size_t i = 0; i < fibers_.size();) {
       if (fibers_[i].done_ns <= now) {
-        fibers_[i].state = FiberState::kReady;
         out->push_back(fibers_[i]);
         fibers_[i] = fibers_.back();
         fibers_.pop_back();
@@ -116,18 +103,28 @@ class FaultPipeline {
     return out->size() - start;
   }
 
-  // External resolution: the page was resolved without a harvest (a
-  // second touch waited on it directly, or FreeRegion tore the region down).
-  // True if a fiber for `page_va` was parked here and is now retired.
-  bool Retire(uint64_t page_va) {
-    for (size_t i = 0; i < fibers_.size(); ++i) {
-      if (fibers_[i].page_va == page_va) {
-        fibers_[i] = fibers_.back();
-        fibers_.pop_back();
-        return true;
+  // The fiber parked here for `page_va`, or null.
+  FaultFiber* Find(uint64_t page_va) {
+    for (FaultFiber& f : fibers_) {
+      if (f.page_va == page_va) {
+        return &f;
       }
     }
-    return false;
+    return nullptr;
+  }
+
+  // External resolution: the page was resolved without a harvest (a
+  // second touch waited on it directly, or FreeRegion tore the region down).
+  // Removes and returns the fiber parked here for `page_va`, if any.
+  std::optional<FaultFiber> Retire(uint64_t page_va) {
+    FaultFiber* f = Find(page_va);
+    if (f == nullptr) {
+      return std::nullopt;
+    }
+    FaultFiber retired = *f;
+    *f = fibers_.back();
+    fibers_.pop_back();
+    return retired;
   }
 
   // Parked pages, unordered (tests / debugging).

@@ -98,9 +98,9 @@ constexpr bool FaultPhaseOnPath(FaultPhase p) {
   return i < kFaultPhaseCount && kFaultPhaseOnPath[i];
 }
 
-// One fault's phase vector. Owned by the runtime's per-core fault scope (or
-// a parked-fiber slot once a remote fault parks) — preallocated, so stamping
-// never allocates on the fault path.
+// One fault's phase vector. Owned by the runtime's per-core fault scope, or
+// by the fault's FaultFiber (src/sim/fiber.h) from park to install — held
+// inline in both, so stamping never allocates on the fault path.
 struct FaultSlice {
   uint64_t ns[kFaultPhaseCount] = {};
   uint64_t start_ns = 0;  // Fault entry (clk at HandleFault, pre-handler advance).

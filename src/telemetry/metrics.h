@@ -378,6 +378,22 @@ class MetricsRegistry {
   std::vector<TenantCell> tenant_cells_;        // [node][tenant bucket], row-major.
 };
 
+// True when node `a` carries strictly less observed fabric load than `b`:
+// fewer bytes moved, then a lower p99 RTT. Without a registry there is no
+// signal, so the incumbent `b` is kept. Rebuild and migration placement use
+// it as their final tiebreaker.
+inline bool LessLoaded(const MetricsRegistry* metrics, int a, int b) {
+  if (metrics == nullptr) {
+    return false;
+  }
+  QpMetrics ma = metrics->NodeTotal(a);
+  QpMetrics mb = metrics->NodeTotal(b);
+  if (ma.bytes() != mb.bytes()) {
+    return ma.bytes() < mb.bytes();
+  }
+  return ma.rtt.Percentile(99) < mb.rtt.Percentile(99);
+}
+
 }  // namespace dilos
 
 #endif  // DILOS_SRC_TELEMETRY_METRICS_H_

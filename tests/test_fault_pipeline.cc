@@ -15,6 +15,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/apps/seqrw.h"
@@ -37,36 +38,38 @@ TEST(FaultPipelineCore, DepthLimitRefusesAdmissionWhenFull) {
   EXPECT_EQ(pipe.depth(), 3u);
   for (uint64_t i = 0; i < 3; ++i) {
     EXPECT_FALSE(pipe.Full());
-    EXPECT_TRUE(pipe.Admit(0x1000 * (i + 1), static_cast<uint32_t>(i), i, 100 + i, false));
+    EXPECT_TRUE(pipe.Admit(0x1000 * (i + 1), 100 + i, false, {}));
   }
   EXPECT_TRUE(pipe.Full());
-  EXPECT_FALSE(pipe.Admit(0x9000, 9, 9, 999, false)) << "admission above depth must refuse";
+  EXPECT_FALSE(pipe.Admit(0x9000, 999, false, {})) << "admission above depth must refuse";
   EXPECT_EQ(pipe.size(), 3u);
 }
 
 TEST(FaultPipelineCore, DepthZeroClampsToOne) {
   FaultPipeline pipe(0);
   EXPECT_EQ(pipe.depth(), 1u);
-  EXPECT_TRUE(pipe.Admit(0x1000, 0, 0, 10, false));
+  EXPECT_TRUE(pipe.Admit(0x1000, 10, false, {}));
   EXPECT_TRUE(pipe.Full());
 }
 
 TEST(FaultPipelineCore, OldestDoneNsTracksTheEarliestCompletion) {
   FaultPipeline pipe(4);
   EXPECT_EQ(pipe.OldestDoneNs(), UINT64_MAX) << "empty pipeline has no stall target";
-  pipe.Admit(0x1000, 0, 0, 500, false);
-  pipe.Admit(0x2000, 1, 1, 200, false);
-  pipe.Admit(0x3000, 2, 2, 900, false);
+  pipe.Admit(0x1000, 500, false, {});
+  pipe.Admit(0x2000, 200, false, {});
+  pipe.Admit(0x3000, 900, false, {});
   EXPECT_EQ(pipe.OldestDoneNs(), 200u);
 }
 
 TEST(FaultPipelineCore, HarvestReturnsRipeFibersInCompletionOrder) {
   FaultPipeline pipe(8);
   // Admission order != completion order: the link can reorder completions.
-  pipe.Admit(0xA000, 0, 0, 300, false);
-  pipe.Admit(0xB000, 1, 1, 100, true);
-  pipe.Admit(0xC000, 2, 2, 200, false);
-  pipe.Admit(0xD000, 3, 3, 900, false);  // Not ripe.
+  FaultSlice slice;
+  slice.Add(FaultPhase::kWire, 42);
+  pipe.Admit(0xA000, 300, false, {});
+  pipe.Admit(0xB000, 100, true, slice);
+  pipe.Admit(0xC000, 200, false, {});
+  pipe.Admit(0xD000, 900, false, {});  // Not ripe.
   std::vector<FaultFiber> out;
   EXPECT_EQ(pipe.HarvestUpTo(300, &out), 3u);
   ASSERT_EQ(out.size(), 3u);
@@ -74,18 +77,17 @@ TEST(FaultPipelineCore, HarvestReturnsRipeFibersInCompletionOrder) {
   EXPECT_EQ(out[1].page_va, 0xC000u);
   EXPECT_EQ(out[2].page_va, 0xA000u);
   EXPECT_TRUE(out[1].write == false && out[0].write == true) << "payload must ride along";
-  for (const FaultFiber& f : out) {
-    EXPECT_EQ(f.state, FiberState::kReady);
-  }
+  EXPECT_EQ(out[0].slice.ns[static_cast<size_t>(FaultPhase::kWire)], 42u)
+      << "the fault's attribution slice rides along too";
   EXPECT_EQ(pipe.size(), 1u) << "the unripe fiber stays parked";
   EXPECT_EQ(pipe.parked()[0].page_va, 0xD000u);
 }
 
 TEST(FaultPipelineCore, HarvestBreaksDoneTiesByAdmissionOrder) {
   FaultPipeline pipe(8);
-  pipe.Admit(0x3000, 0, 0, 100, false);
-  pipe.Admit(0x1000, 1, 1, 100, false);
-  pipe.Admit(0x2000, 2, 2, 100, false);
+  pipe.Admit(0x3000, 100, false, {});
+  pipe.Admit(0x1000, 100, false, {});
+  pipe.Admit(0x2000, 100, false, {});
   std::vector<FaultFiber> out;
   pipe.HarvestUpTo(100, &out);
   ASSERT_EQ(out.size(), 3u);
@@ -96,8 +98,8 @@ TEST(FaultPipelineCore, HarvestBreaksDoneTiesByAdmissionOrder) {
 
 TEST(FaultPipelineCore, HarvestCoalescesAcrossCallsWithoutLosingFibers) {
   FaultPipeline pipe(4);
-  pipe.Admit(0x1000, 0, 0, 100, false);
-  pipe.Admit(0x2000, 1, 1, 400, false);
+  pipe.Admit(0x1000, 100, false, {});
+  pipe.Admit(0x2000, 400, false, {});
   std::vector<FaultFiber> out;
   EXPECT_EQ(pipe.HarvestUpTo(50, &out), 0u) << "nothing ripe yet";
   EXPECT_EQ(pipe.HarvestUpTo(100, &out), 1u);
@@ -111,11 +113,20 @@ TEST(FaultPipelineCore, HarvestCoalescesAcrossCallsWithoutLosingFibers) {
 
 TEST(FaultPipelineCore, RetireRemovesByPageAndFreesASlot) {
   FaultPipeline pipe(2);
-  pipe.Admit(0x1000, 0, 0, 100, false);
-  pipe.Admit(0x2000, 1, 1, 200, false);
+  FaultSlice slice;
+  slice.start_ns = 7;
+  pipe.Admit(0x1000, 100, true, slice);
+  pipe.Admit(0x2000, 200, false, {});
   ASSERT_TRUE(pipe.Full());
   EXPECT_FALSE(pipe.Retire(0x5000)) << "unknown page retires nothing";
-  EXPECT_TRUE(pipe.Retire(0x1000));
+  ASSERT_NE(pipe.Find(0x1000), nullptr);
+  std::optional<FaultFiber> f = pipe.Retire(0x1000);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->page_va, 0x1000u);
+  EXPECT_EQ(f->done_ns, 100u);
+  EXPECT_TRUE(f->write);
+  EXPECT_EQ(f->slice.start_ns, 7u) << "the retired fiber is handed back whole";
+  EXPECT_EQ(pipe.Find(0x1000), nullptr);
   EXPECT_FALSE(pipe.Full());
   EXPECT_EQ(pipe.OldestDoneNs(), 200u);
   EXPECT_FALSE(pipe.Retire(0x1000)) << "double retire must not find a ghost";
@@ -312,28 +323,57 @@ TEST(FaultPipelineRuntime, IdleCoreHarvestsAWholeRipeBatchInOnePoll) {
 
 TEST(FaultPipelineRuntime, FreeRegionTearsDownParkedFaultsCleanly) {
   Fabric fabric;
-  DilosRuntime rt(fabric, PipeConfig(8), std::make_unique<NullPrefetcher>());
+  DilosConfig cfg = PipeConfig(8);
+  cfg.telemetry.attribution = true;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  const FaultAttribution& attr = *rt.telemetry()->attribution();
+  RuntimeStats& st = rt.stats();
   const uint64_t pages = 256;
-  uint64_t region = rt.AllocRegion(pages * kPageSize);
-  for (uint64_t p = 0; p < pages; ++p) {
-    rt.Write<uint64_t>(region + p * kPageSize, p);
-  }
-  rt.Quiesce();
-  for (uint64_t p = 0; p < 4; ++p) {
-    rt.Read<uint64_t>(region + p * kPageSize);
-  }
-  ASSERT_GT(rt.stats().fault_inflight, 0u);
-  uint64_t free0 = rt.frame_pool().free_count();
-  rt.FreeRegion(region, pages * kPageSize);
-  EXPECT_EQ(rt.stats().fault_inflight, 0u) << "teardown must release the parked fibers";
-  EXPECT_GT(rt.frame_pool().free_count(), free0) << "parked frames must return to the pool";
-  rt.Quiesce();  // Must be a no-op, not a hang or a double-install.
-  for (int c = 0; c < rt.num_cores(); ++c) {
-    EXPECT_EQ(rt.pipeline(c)->size(), 0u);
+  auto populate = [&rt](uint64_t region, uint64_t n) {
+    for (uint64_t p = 0; p < n; ++p) {
+      rt.Write<uint64_t>(region + p * kPageSize, p);
+    }
+    rt.Quiesce();
+  };
+  // Tear down parked faults in several regions in turn. Each parked fiber
+  // carries its fault's attribution slice; teardown drops it uncommitted.
+  for (int round = 0; round < 3; ++round) {
+    uint64_t region = rt.AllocRegion(pages * kPageSize);
+    populate(region, pages);
+    for (uint64_t p = 0; p < 4; ++p) {
+      rt.Read<uint64_t>(region + p * kPageSize);
+    }
+    ASSERT_GT(st.fault_inflight, 0u) << "round " << round;
+    uint64_t free0 = rt.frame_pool().free_count();
+    uint64_t commits0 = attr.commits();
+    rt.FreeRegion(region, pages * kPageSize);
+    EXPECT_EQ(attr.commits(), commits0) << "teardown must not commit a slice, round " << round;
+    EXPECT_EQ(st.fault_inflight, 0u) << "teardown must release the parked fibers";
+    EXPECT_GT(rt.frame_pool().free_count(), free0) << "parked frames must return to the pool";
+    rt.Quiesce();  // Must be a no-op, not a hang or a double-install.
+    EXPECT_EQ(attr.commits(), commits0) << "a torn-down fiber must never install";
+    for (int c = 0; c < rt.num_cores(); ++c) {
+      EXPECT_EQ(rt.pipeline(c)->size(), 0u);
+    }
   }
   // The region is reusable: first touches are zero-fill, not stale frames.
   uint64_t region2 = rt.AllocRegion(4 * kPageSize);
   EXPECT_EQ(rt.Read<uint64_t>(region2), 0u);
+
+  // A pipelined read sweep after the teardowns attributes every major fault
+  // exactly once, and each slice still tiles its fault's latency.
+  uint64_t region3 = rt.AllocRegion(pages * kPageSize);
+  populate(region3, pages);
+  uint64_t commits0 = attr.commits();
+  uint64_t major0 = st.major_faults;
+  for (uint64_t p = 0; p < pages; ++p) {
+    EXPECT_EQ(rt.Read<uint64_t>(region3 + p * kPageSize), p);
+  }
+  rt.Quiesce();
+  EXPECT_GT(st.major_faults - major0, 0u);
+  EXPECT_EQ(attr.commits() - commits0, st.major_faults - major0)
+      << "one committed slice per major fault";
+  EXPECT_EQ(attr.sum_violations(), 0u);
 }
 
 // -- Telemetry ----------------------------------------------------------------

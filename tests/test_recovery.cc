@@ -97,26 +97,6 @@ TEST(FailureDetector, SuspectRecoversOnSuccessfulProbe) {
   EXPECT_EQ(router.state(0), NodeState::kLive);
 }
 
-TEST(FailureDetector, ReadWithRetryBacksOffAndGivesUp) {
-  Fabric fabric(CostModel::Default(), 1);
-  RuntimeStats stats;
-  ShardRouter router(fabric, 1, 1, false);
-  FailureDetector det(fabric, router, stats, nullptr);
-  fabric.CrashNode(0);
-
-  QueuePair* qp = fabric.CreateQp(0);
-  uint8_t buf[64];
-  uint64_t cursor = 0;
-  Completion c = det.ReadWithRetry(qp, 0, reinterpret_cast<uint64_t>(buf), kFarBase, 64, &cursor);
-  EXPECT_EQ(c.status, WcStatus::kTimeout);
-  // max_retries+1 attempts, each a full op timeout, plus exponential backoff.
-  const FailureDetectorConfig& cfg = det.config();
-  uint64_t min_elapsed = (cfg.max_retries + 1) * fabric.cost().rdma_op_timeout_ns;
-  EXPECT_GE(cursor, min_elapsed);
-  EXPECT_EQ(stats.op_timeouts, cfg.max_retries + 1);
-  EXPECT_EQ(router.state(0), NodeState::kDead);
-}
-
 TEST(RepairManager, RestoresReplicationOnSurvivor) {
   Fabric fabric(CostModel::Default(), 3);
   DilosRuntime rt(fabric, RecoveryConfig(2), std::make_unique<NullPrefetcher>());
