@@ -16,6 +16,9 @@
 //     page); EC decodes it from k survivors (k+1 pages moved per page).
 //     EC(4,2) on 6 nodes has no off-stripe node to rebuild onto, so it
 //     stays degraded — printed as "-" (reads keep being served).
+//
+// The bench doubles as a CI gate: it exits non-zero if any scheme loses a
+// page (a failed fetch).
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -130,7 +133,9 @@ Row Run(const Scheme& s) {
   return row;
 }
 
-void RunAll() {
+// Returns false (after printing a failure line) if any scheme lost a page.
+bool RunAll() {
+  bool ok = true;
   PrintHeader(
       "Extension: replication vs erasure coding — capacity / latency / rebuild\n"
       "6 nodes, 32 MB working set, node 0 crashes under random-read load");
@@ -165,16 +170,19 @@ void RunAll() {
                 static_cast<unsigned long long>(r.degraded_p50),
                 static_cast<unsigned long long>(r.degraded_p99), rebuild, r.rebuild_mb,
                 static_cast<unsigned long long>(r.failed));
+    if (r.failed != 0) {
+      std::printf("GATE FAILED: %s lost %llu pages\n", s.name,
+                  static_cast<unsigned long long>(r.failed));
+      ok = false;
+    }
   }
   std::printf(
       "\nexpected shape: EC capacity (k+m)/k beats replication Rx; EC pays for it\n"
       "with a degraded-read p99 of ~k fan-out reads + decode until rebuilt.\n\n");
+  return ok;
 }
 
 }  // namespace
 }  // namespace dilos
 
-int main() {
-  dilos::RunAll();
-  return 0;
-}
+int main() { return dilos::RunAll() ? 0 : 1; }

@@ -8,6 +8,10 @@
 // the knob: more repair bytes per tick shortens the exposed-to-second-failure
 // window but steals link time from demand fetches — this bench prints both
 // sides of that trade so the knob can be picked on data.
+//
+// The bench doubles as a CI gate: it exits non-zero if any row loses a page
+// (a failed fetch) or its repair loop hits the safety valve instead of
+// converging.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -27,6 +31,7 @@ struct Row {
   double repair_mb_s = 0;
   double repair_ms = 0;
   uint64_t failed = 0;
+  bool converged = true;  // False: the repair loop hit its safety valve.
 };
 
 DilosConfig MakeCfg(uint64_t bytes_per_tick, size_t pipeline_depth) {
@@ -81,7 +86,8 @@ Row Run(uint64_t bytes_per_tick, size_t pipeline_depth = 8) {
          rt.stats().repair_granules == 0) {
     sample(&lat);
     if (lat.size() > 200'000) {
-      break;  // Safety valve; repair should finish long before this.
+      row.converged = false;  // Safety valve; repair should finish long before this.
+      break;
     }
   }
   uint64_t repair_end_ns = rt.clock(0).now();
@@ -95,7 +101,22 @@ Row Run(uint64_t bytes_per_tick, size_t pipeline_depth = 8) {
   return row;
 }
 
-void RunAll() {
+// Prints a failure line (and clears *ok) when a row lost a page or never
+// converged; silent when the row passes.
+void Gate(const Row& r, const char* name, bool* ok) {
+  if (r.failed != 0) {
+    std::printf("GATE FAILED: %s lost %llu pages\n", name,
+                static_cast<unsigned long long>(r.failed));
+    *ok = false;
+  }
+  if (!r.converged) {
+    std::printf("GATE FAILED: %s repair hit the safety valve before converging\n", name);
+    *ok = false;
+  }
+}
+
+bool RunAll() {
+  bool ok = true;
   PrintHeader("Extension: crash recovery — demand latency vs repair bandwidth\n"
               "3 nodes, replication=2, node 0 crashes under random-read load");
   std::printf("%-18s %12s %12s %12s %12s %10s %10s %7s\n", "repair throttle", "healthy p50",
@@ -110,6 +131,7 @@ void RunAll() {
                 static_cast<unsigned long long>(r.repair_p50),
                 static_cast<unsigned long long>(r.repair_p99), r.repair_mb_s, r.repair_ms,
                 static_cast<unsigned long long>(r.failed));
+    Gate(r, names[i], &ok);
     BenchJson& j = BenchJson::Instance();
     j.BeginRecord("ext_recovery.throttle");
     j.Config("repair_bytes_per_tick", throttles[i]);
@@ -143,6 +165,7 @@ void RunAll() {
                 r.repair_mb_s, r.repair_ms, static_cast<unsigned long long>(r.repair_p99),
                 static_cast<unsigned long long>(r.failed),
                 serial_mb_s > 0 ? r.repair_mb_s / serial_mb_s : 0.0);
+    Gate(r, depth_names[i], &ok);
     BenchJson& j = BenchJson::Instance();
     j.BeginRecord("ext_recovery.pipelining");
     j.Config("pipeline_depth", static_cast<uint64_t>(depths[i]));
@@ -155,6 +178,7 @@ void RunAll() {
     j.Metric("vs_serial", serial_mb_s > 0 ? r.repair_mb_s / serial_mb_s : 0.0);
   }
   std::printf("\n");
+  return ok;
 }
 
 }  // namespace
@@ -162,6 +186,9 @@ void RunAll() {
 
 int main(int argc, char** argv) {
   dilos::BenchParseArgs(argc, argv);
-  dilos::RunAll();
-  return dilos::BenchJson::Instance().Flush() ? 0 : 1;
+  bool ok = dilos::RunAll();
+  if (!dilos::BenchJson::Instance().Flush()) {
+    return 1;
+  }
+  return ok ? 0 : 1;
 }

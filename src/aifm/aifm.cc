@@ -4,6 +4,12 @@
 
 namespace dilos {
 
+namespace {
+
+constexpr size_t kPrefetchDepth = 16;  // Streaming prefetcher look-ahead (objects).
+
+}  // namespace
+
 AifmRuntime::AifmRuntime(Fabric& fabric, AifmConfig cfg)
     : fabric_(fabric), cfg_(cfg), cost_(fabric.cost()), qp_(fabric.CreateQp()) {}
 
@@ -61,10 +67,7 @@ uint64_t AifmRuntime::PostObjectIo(Object& obj, bool is_write, uint64_t issue_ns
     left -= chunk;
   }
   Completion c = qp_->PostSend(wr, issue_ns);
-  uint64_t done = c.completion_time_ns;
-  if (cfg_.tcp) {
-    done += cost_.tcp_delay_ns;
-  }
+  uint64_t done = c.completion_time_ns + cost_.tcp_delay_ns;  // AIFM's data path is TCP.
   if (is_write) {
     stats_.bytes_written += obj.size;
   } else {
@@ -132,7 +135,7 @@ void AifmRuntime::MaybeStreamPrefetch(ObjId id) {
   }
   // Background prefetch threads pull the next objects of the stream; issue
   // time is now, arrival is wire-paced. The app core is not charged.
-  for (size_t k = 1; k <= cfg_.prefetch_depth; ++k) {
+  for (size_t k = 1; k <= kPrefetchDepth; ++k) {
     ObjId next = id + k;
     if (next >= objects_.size()) {
       break;

@@ -35,8 +35,6 @@ using ObjId = uint64_t;
 struct AifmConfig {
   uint64_t local_mem_bytes = 64ULL << 20;
   uint64_t deref_check_ns = 4;   // Per-dereference local/remote test.
-  size_t prefetch_depth = 16;    // Streaming prefetcher look-ahead (objects).
-  bool tcp = true;               // AIFM's data path is TCP-based.
 };
 
 class AifmRuntime {

@@ -12,16 +12,7 @@ PageManager::PageManager(FramePool& pool, PageTable& pt, ShardRouter& router,
                          RuntimeStats& stats, Tracer* tracer, PageManagerConfig cfg,
                          const CostModel* cost, size_t free_target)
     : pool_(pool), pt_(pt), router_(router), stats_(stats), tracer_(tracer), cfg_(cfg),
-      cost_(cost), free_target_(free_target) {
-  if (tracer_ == nullptr) {
-    static Tracer null_tracer(0);
-    tracer_ = &null_tracer;
-  }
-  if (cost_ == nullptr) {
-    static const CostModel default_cost = CostModel::Default();
-    cost_ = &default_cost;
-  }
-}
+      cost_(cost), free_target_(free_target) {}
 
 void PageManager::OnMapped(uint64_t page_va) {
   auto it = where_.find(page_va);
@@ -636,7 +627,7 @@ bool PageManager::TierAdmit(uint64_t page_va, Pte* e, uint64_t now) {
   if (tier_->AdmitPage(page_va, pool_.Data(frame), dirty, &csize) !=
       CompressedTier::Admit::kStored) {
     stats_.tier_bypass_incompressible++;
-    return false;  // Denser than max_ratio: take the normal remote path.
+    return false;  // Denser than kTierMaxRatio: take the normal remote path.
   }
   *pt_.Entry(page_va, true) = MakeTierPte(page_va >> kPageShift);
   pool_.Free(frame);
@@ -707,7 +698,7 @@ void PageManager::TierTick(uint64_t now) {
   // Drain deferred write-backs oldest-first, so entries nearing eviction are
   // already clean (droppable without a fault-path write) when pressure hits.
   tier_dirty_scratch_.clear();
-  tier_->CollectDirty(tier_->config().clean_batch, &tier_dirty_scratch_);
+  tier_->CollectDirty(kTierCleanBatch, &tier_dirty_scratch_);
   for (uint64_t va : tier_dirty_scratch_) {
     if (!tier_->Read(va, tier_buf_)) {
       TierDropCorrupt(va, now);  // Undecompressable: it can never drain.

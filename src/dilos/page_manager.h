@@ -53,11 +53,11 @@ class PageManager {
   // Write-backs go through `router` on the manager channel — to every live
   // replica when replication is enabled, or to the single data copy plus a
   // parity read-modify-write per parity member in EC mode. `cost` prices the
-  // EC decode on the degraded old-content path (defaults to the testbed
-  // model when null). The reclaimer keeps at least `free_target` frames free.
+  // EC decode on the degraded old-content path. The reclaimer keeps at least
+  // `free_target` frames free.
   PageManager(FramePool& pool, PageTable& pt, ShardRouter& router, RuntimeStats& stats,
-              Tracer* tracer = nullptr, PageManagerConfig cfg = {},
-              const CostModel* cost = nullptr, size_t free_target = kMinFreeFrames);
+              Tracer* tracer, PageManagerConfig cfg, const CostModel* cost,
+              size_t free_target);
 
   void set_guide(Guide* guide) { guide_ = guide; }
   // Arms the compressed local tier (src/tier): clock victims are compressed

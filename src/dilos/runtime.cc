@@ -133,8 +133,7 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
   }
   harvest_scratch_.reserve(pipelines_.front().depth());  // The pipeline clamps 0 to 1.
   if (cfg_.recovery.enabled) {
-    detector_ = std::make_unique<FailureDetector>(fabric_, router_, stats_, &tracer_,
-                                                  cfg_.recovery.detector);
+    detector_ = std::make_unique<FailureDetector>(fabric_, router_, stats_, &tracer_);
     repair_ = std::make_unique<RepairManager>(fabric_, router_, *detector_, stats_, &tracer_,
                                               cfg_.recovery.repair);
     migration_ = std::make_unique<MigrationManager>(fabric_, router_, *detector_, stats_,
@@ -250,10 +249,7 @@ void DilosRuntime::Background(uint64_t now, uint64_t pinned_va) {
 void DilosRuntime::DriveRecovery(uint64_t duration_ns) {
   Clock& clk = clocks_[0];
   uint64_t end = clk.now() + duration_ns;
-  uint64_t step = detector_ != nullptr ? detector_->config().probe_interval_ns : 10'000;
-  if (step == 0) {
-    step = 1'000;
-  }
+  uint64_t step = detector_ != nullptr ? kProbeIntervalNs : 10'000;
   while (clk.now() < end) {
     clk.Advance(step);
     RecoveryTick(clk.now());
@@ -263,8 +259,8 @@ void DilosRuntime::DriveRecovery(uint64_t duration_ns) {
 Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
                                      const std::vector<PageSegment>* segs, int core,
                                      CommChannel ch, uint64_t* cursor_ns) {
-  uint32_t max_retries = detector_ != nullptr ? detector_->config().max_retries : 0;
-  uint64_t backoff = detector_ != nullptr ? detector_->config().backoff_base_ns : 0;
+  uint32_t max_retries = detector_ != nullptr ? kDemandMaxRetries : 0;
+  uint64_t backoff = detector_ != nullptr ? kDemandBackoffBaseNs : 0;
   // Mismatch retries are budgeted separately from timeout retries: a wire
   // flip and a dead node are different failures and one must not starve the
   // other's recovery path. The budget is deliberately generous — wire flips

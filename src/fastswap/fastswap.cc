@@ -6,6 +6,9 @@ namespace dilos {
 
 namespace {
 
+constexpr uint32_t kReadaheadCluster = 8;  // Linux swap readahead window (2^3).
+constexpr size_t kFreeTarget = 8;          // Low watermark that triggers per-fault reclaim.
+
 uint64_t PageOf(uint64_t vaddr) { return vaddr & ~static_cast<uint64_t>(kPageSize - 1); }
 
 }  // namespace
@@ -153,14 +156,14 @@ std::optional<uint32_t> FastswapRuntime::EnsureFrame(Clock& clk, bool in_fault_p
   // direct reclamation inside the fault handler (charged). Deterministic
   // rotation via a debt accumulator.
   DrainPendingFrees(clk.now());
-  size_t watermark = cfg_.free_target;
+  size_t watermark = kFreeTarget;
   size_t cap = pool_.total() / 8 + 1;
   if (watermark > cap) {
     watermark = cap;
   }
   if (pool_.free_count() + pending_free_.size() < watermark) {
     ++reclaim_events_;
-    reclaim_debt_ += cfg_.direct_reclaim_fraction;
+    reclaim_debt_ += cost_.fsw_direct_reclaim_fraction;
     bool direct = in_fault_path && reclaim_debt_ >= 1.0;
     if (direct) {
       reclaim_debt_ -= 1.0;
@@ -199,7 +202,7 @@ void FastswapRuntime::Readahead(uint64_t fault_page, Clock& clk) {
   if (ra_consumed_ + ra_dropped_ >= 64) {
     double ratio = static_cast<double>(ra_consumed_) /
                    static_cast<double>(ra_consumed_ + ra_dropped_);
-    ra_window_ = ratio > 0.8 ? cfg_.readahead_cluster : ratio > 0.5 ? 4 : ratio > 0.2 ? 2 : 1;
+    ra_window_ = ratio > 0.8 ? kReadaheadCluster : ratio > 0.5 ? 4 : ratio > 0.2 ? 2 : 1;
     ra_consumed_ = 0;
     ra_dropped_ = 0;
   }

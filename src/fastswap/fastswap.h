@@ -35,13 +35,7 @@ namespace dilos {
 struct FastswapConfig {
   uint64_t local_mem_bytes = 64ULL << 20;
   int num_cores = 1;
-  uint32_t readahead_cluster = 8;  // Linux swap readahead window (2^3).
   bool readahead_enabled = true;
-  size_t free_target = 8;  // Low watermark that triggers per-fault reclaim.
-  // Fraction of reclamation events the offload thread fails to absorb,
-  // running as direct reclaim in the fault path (Fig. 1: reclamation is
-  // ~29% of average fault latency even with offloading).
-  double direct_reclaim_fraction = 0.65;
 };
 
 class FastswapRuntime : public FarRuntime {

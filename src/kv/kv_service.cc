@@ -7,6 +7,10 @@ namespace dilos {
 
 namespace {
 
+// Upper bound on the leaf-plan length handed to the scan guide per scan (the
+// guide prefetches a sliding window within it).
+constexpr uint32_t kScanPlanMaxLeaves = 64;
+
 // splitmix64 finalizer — the same family the shard router uses for granule
 // placement; keys that are sequential integers still spread evenly.
 uint64_t Mix(uint64_t x) {
@@ -95,9 +99,9 @@ uint32_t KvService::Scan(uint64_t start, uint32_t count,
   uint64_t t0 = rt_.clock(core).now();
   if (hooks_ != nullptr) {
     // Plan the walk from the local search layer: enough leaves to cover
-    // `count` records even at half-full fill, capped by config.
+    // `count` records even at half-full fill, capped by kScanPlanMaxLeaves.
     uint32_t need = count / std::max(1u, tree.leaf_capacity() / 2) + 2;
-    tree.CollectLeaves(start, std::min(need, cfg_.scan_plan_max_leaves), &leaf_plan_);
+    tree.CollectLeaves(start, std::min(need, kScanPlanMaxLeaves), &leaf_plan_);
     hooks_->OnScanBegin(leaf_plan_);
     ++rt_.stats().kv_guided_scans;
     if (tracer_ != nullptr) {

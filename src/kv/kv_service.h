@@ -40,9 +40,6 @@ namespace dilos {
 struct KvConfig {
   int shards = 4;
   BTreeConfig tree;
-  // Upper bound on the leaf-plan length handed to the scan guide per scan
-  // (the guide prefetches a sliding window within it).
-  uint32_t scan_plan_max_leaves = 64;
 };
 
 // Per-shard counters + latency distributions.

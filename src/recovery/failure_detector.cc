@@ -3,8 +3,8 @@
 namespace dilos {
 
 FailureDetector::FailureDetector(Fabric& fabric, ShardRouter& router, RuntimeStats& stats,
-                                 Tracer* tracer, FailureDetectorConfig cfg)
-    : fabric_(fabric), router_(router), stats_(stats), tracer_(tracer), cfg_(cfg) {
+                                 Tracer* tracer)
+    : fabric_(fabric), router_(router), stats_(stats), tracer_(tracer) {
   if (tracer_ == nullptr) {
     static Tracer null_tracer(0);
     tracer_ = &null_tracer;
@@ -24,7 +24,7 @@ void FailureDetector::Tick(uint64_t now_ns) {
   now_ns = Witness(now_ns);
   if (now_ns >= next_probe_ns_) {
     ProbeAll(now_ns);
-    next_probe_ns_ = now_ns + cfg_.probe_interval_ns;
+    next_probe_ns_ = now_ns + kProbeIntervalNs;
   }
   // Lease check: a node whose lease lapsed without renewal is dead even if
   // no probe round happens to be due right now.
@@ -87,7 +87,7 @@ void FailureDetector::RenewLease(int node, uint64_t now_ns) {
   if (router_.state(node) == NodeState::kDead) {
     return;  // Only an answered *probe* re-admits a dead node (Readmit).
   }
-  lease_expiry_[static_cast<size_t>(node)] = now_ns + cfg_.lease_ns;
+  lease_expiry_[static_cast<size_t>(node)] = now_ns + kLeaseNs;
   strikes_[static_cast<size_t>(node)] = 0;
   if (router_.state(node) == NodeState::kSuspect && !gray(node)) {
     // False alarm (e.g. one lost op) — but a *gray* suspicion is about
@@ -102,21 +102,20 @@ void FailureDetector::ObserveRtt(int node, uint64_t rtt_ns, uint64_t now_ns) {
   double& ewma = rtt_ewma_[i];
   ewma = rtt_samples_[i]++ == 0
              ? static_cast<double>(rtt_ns)
-             : (1.0 - cfg_.gray_ewma_alpha) * ewma +
-                   cfg_.gray_ewma_alpha * static_cast<double>(rtt_ns);
+             : (1.0 - kGrayEwmaAlpha) * ewma + kGrayEwmaAlpha * static_cast<double>(rtt_ns);
   if (baseline_rtt_ns_ == 0 || rtt_ns < baseline_rtt_ns_) {
     baseline_rtt_ns_ = rtt_ns;  // Fleet-wide healthy floor.
   }
-  if (rtt_samples_[i] < cfg_.gray_min_samples) {
+  if (rtt_samples_[i] < kGrayMinSamples) {
     return;
   }
   double base = static_cast<double>(baseline_rtt_ns_ < 1 ? 1 : baseline_rtt_ns_);
-  if (gray_[i] == 0 && ewma > cfg_.gray_trip_factor * base) {
+  if (gray_[i] == 0 && ewma > kGrayTripFactor * base) {
     gray_[i] = 1;
     stats_.gray_suspects++;
     router_.MarkSuspect(node);
     tracer_->Record(now_ns, TraceEvent::kGraySuspect, 0, static_cast<uint32_t>(node));
-  } else if (gray_[i] != 0 && ewma < cfg_.gray_clear_factor * base) {
+  } else if (gray_[i] != 0 && ewma < kGrayClearFactor * base) {
     gray_[i] = 0;
     if (router_.state(node) == NodeState::kSuspect && strikes_[i] == 0) {
       router_.MarkLive(node);
@@ -130,9 +129,9 @@ void FailureDetector::Strike(int node, uint64_t now_ns) {
     return;
   }
   uint32_t s = ++strikes_[static_cast<size_t>(node)];
-  if (s >= cfg_.dead_after) {
+  if (s >= kDeadAfterStrikes) {
     DeclareDead(node, now_ns);
-  } else if (s >= cfg_.suspect_after && router_.state(node) == NodeState::kLive) {
+  } else if (router_.state(node) == NodeState::kLive) {
     router_.MarkSuspect(node);
     tracer_->Record(now_ns, TraceEvent::kNodeSuspect, 0, static_cast<uint32_t>(node));
   }
@@ -150,7 +149,7 @@ void FailureDetector::Readmit(int node, uint64_t now_ns) {
   // let the repair manager decide per granule when it may serve reads again.
   router_.MarkRebuilding(node);
   strikes_[static_cast<size_t>(node)] = 0;
-  lease_expiry_[static_cast<size_t>(node)] = now_ns + cfg_.lease_ns;
+  lease_expiry_[static_cast<size_t>(node)] = now_ns + kLeaseNs;
   stats_.nodes_readmitted++;
   tracer_->Record(now_ns, TraceEvent::kNodeReadmitted, 0, static_cast<uint32_t>(node));
   if (on_readmit_) {

@@ -14,8 +14,8 @@
 //
 // Strikes move a node live -> suspect -> dead in the ShardRouter; a single
 // successful probe or op resets them (suspect -> live). Dead nodes keep
-// being probed, so a restarted node is noticed and re-admitted. The config
-// also holds the demand-read retry policy DilosRuntime::DemandFetch applies.
+// being probed, so a restarted node is noticed and re-admitted. The demand-read
+// retry policy DilosRuntime::DemandFetch applies is defined here too.
 #ifndef DILOS_SRC_RECOVERY_FAILURE_DETECTOR_H_
 #define DILOS_SRC_RECOVERY_FAILURE_DETECTOR_H_
 
@@ -30,32 +30,30 @@
 
 namespace dilos {
 
-struct FailureDetectorConfig {
-  uint64_t probe_interval_ns = 20'000;  // Heartbeat period per node.
-  uint64_t lease_ns = 120'000;          // Liveness lease renewed by each probe.
-  uint32_t suspect_after = 1;           // Strikes before live -> suspect.
-  uint32_t dead_after = 3;              // Strikes before -> dead.
-  uint32_t max_retries = 3;             // Demand-read retries after a timeout.
-  uint64_t backoff_base_ns = 2'000;     // Exponential backoff: base << attempt.
+inline constexpr uint64_t kProbeIntervalNs = 20'000;  // Heartbeat period per node.
+inline constexpr uint64_t kLeaseNs = 120'000;         // Liveness lease renewed by each probe.
+// Strikes before a node is declared dead; the first strike already marks a
+// live node suspect.
+inline constexpr uint32_t kDeadAfterStrikes = 3;
+inline constexpr uint32_t kDemandMaxRetries = 3;  // Demand-read retries after a timeout.
+inline constexpr uint64_t kDemandBackoffBaseNs = 2'000;  // Exponential backoff: base << attempt.
 
-  // -- Gray-failure (alive-but-slow) detection --------------------------------
-  // Each answered probe's RTT feeds a per-node EWMA; the fleet-wide minimum
-  // RTT ever observed is the healthy baseline (fleet-relative, so a node
-  // that is slow from boot is still caught). A node whose EWMA exceeds
-  // baseline * gray_trip_factor is marked suspect — demand reads steer to
-  // replicas/EC survivors — but its answered probes keep renewing the lease,
-  // so it is never declared dead. It returns to live only when the EWMA
-  // drops back under baseline * gray_clear_factor (hysteresis).
-  double gray_ewma_alpha = 0.3;    // Weight of the newest probe RTT.
-  double gray_trip_factor = 4.0;   // EWMA > baseline * this => suspect.
-  double gray_clear_factor = 2.0;  // EWMA < baseline * this => live again.
-  uint32_t gray_min_samples = 3;   // Probe RTTs before the EWMA is trusted.
-};
+// -- Gray-failure (alive-but-slow) detection ----------------------------------
+// Each answered probe's RTT feeds a per-node EWMA; the fleet-wide minimum RTT
+// ever observed is the healthy baseline (fleet-relative, so a node that is
+// slow from boot is still caught). A node whose EWMA exceeds baseline *
+// kGrayTripFactor is marked suspect — demand reads steer to replicas/EC
+// survivors — but its answered probes keep renewing the lease, so it is never
+// declared dead. It returns to live only when the EWMA drops back under
+// baseline * kGrayClearFactor (hysteresis).
+inline constexpr double kGrayEwmaAlpha = 0.3;    // Weight of the newest probe RTT.
+inline constexpr double kGrayTripFactor = 4.0;   // EWMA > baseline * this => suspect.
+inline constexpr double kGrayClearFactor = 2.0;  // EWMA < baseline * this => live again.
+inline constexpr uint32_t kGrayMinSamples = 3;   // Probe RTTs before the EWMA is trusted.
 
 class FailureDetector {
  public:
-  FailureDetector(Fabric& fabric, ShardRouter& router, RuntimeStats& stats, Tracer* tracer,
-                  FailureDetectorConfig cfg = {});
+  FailureDetector(Fabric& fabric, ShardRouter& router, RuntimeStats& stats, Tracer* tracer);
 
   // Clock hook: runs a probe round when one is due and checks leases.
   // Driven from the same background hooks as the cleaner/reclaimer.
@@ -72,8 +70,6 @@ class FailureDetector {
   // liveness bookkeeping (probes, strikes, leases) uses this horizon so a
   // node declared dead at cursor time T is never probed "before" T.
   uint64_t latest_ns() const { return latest_ns_; }
-
-  const FailureDetectorConfig& config() const { return cfg_; }
 
   // Called when a dead node answers a probe and is re-admitted as
   // kRebuilding — the repair manager subscribes to schedule the refill of
@@ -108,7 +104,6 @@ class FailureDetector {
   ShardRouter& router_;
   RuntimeStats& stats_;
   Tracer* tracer_;
-  FailureDetectorConfig cfg_;
 
   ReadmitObserver on_readmit_;
   std::vector<QueuePair*> probe_qps_;   // One dedicated QP per node.

@@ -2,15 +2,22 @@
 
 #include <algorithm>
 
-#include "src/recovery/ec_read.h"
-#include "src/recovery/integrity.h"
-
 namespace dilos {
 
 namespace {
+
+// Migration-bandwidth throttle, same contract as RepairConfig::bytes_per_tick:
+// payload bytes (source read + target write) moved per tick.
+constexpr uint64_t kMigrationBytesPerTick = 512 * 1024;
+constexpr size_t kMigrationPipelineDepth = 8;  // Copy reads kept in flight at once.
+// Catch-up passes before the migration gives up and rolls back (each pass
+// only re-ships pages whose target generation still lags).
+constexpr uint32_t kMaxCatchupPasses = 8;
+
 bool Contains(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
+
 }  // namespace
 
 MigrationManager::MigrationManager(Fabric& fabric, ShardRouter& router,
@@ -21,16 +28,9 @@ MigrationManager::MigrationManager(Fabric& fabric, ShardRouter& router,
       detector_(detector),
       stats_(stats),
       tracer_(tracer),
-      cfg_(cfg) {
-  if (tracer_ == nullptr) {
-    static Tracer null_tracer(0);
-    tracer_ = &null_tracer;
-  }
-  int n = fabric.num_nodes();
-  target_refs_.assign(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    qps_.push_back(fabric.CreateQp(i, QpClass::kRepair));
-  }
+      cfg_(cfg),
+      copier_(fabric, router, detector, stats, tracer) {
+  target_refs_.assign(static_cast<size_t>(fabric.num_nodes()), 0);
 }
 
 void MigrationManager::EmitSpan(const Job& job, uint64_t end_ns) {
@@ -100,13 +100,13 @@ void MigrationManager::Tick(uint64_t now_ns) {
   if (detector_.latest_ns() > now_ns) {
     now_ns = detector_.latest_ns();
   }
-  if (now_ns < last_tick_ns_ + cfg_.min_interval_ns) {
+  if (now_ns < last_tick_ns_ + kCopyTickIntervalNs) {
     return;
   }
   last_tick_ns_ = now_ns;
   SweepWindows(now_ns);
   ScanDrains(now_ns);
-  uint64_t budget = cfg_.bytes_per_tick;
+  uint64_t budget = kMigrationBytesPerTick;
   while (budget > 0 && !jobs_.empty()) {
     uint64_t moved = DrainFront(now_ns, budget);
     if (moved == 0 && !jobs_.empty()) {
@@ -292,9 +292,6 @@ void MigrationManager::Restart(uint64_t now_ns) {
 uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
   Job& job = jobs_.front();
   uint64_t granule_base = job.granule << kShardGranuleShift;
-  if (cursor_ns_ < now_ns) {
-    cursor_ns_ = now_ns;
-  }
 
   auto abort_job = [&]() {
     // RollbackMigration is a no-op when a re-plan already replaced the
@@ -304,9 +301,9 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
     if (stats_.migrations_inflight > 0) {
       stats_.migrations_inflight--;
     }
-    tracer_->Record(cursor_ns_, TraceEvent::kMigrateAbort, granule_base,
+    tracer_->Record(copier_.cursor_ns(), TraceEvent::kMigrateAbort, granule_base,
                     static_cast<uint32_t>(job.target));
-    EmitSpan(job, cursor_ns_);
+    EmitSpan(job, copier_.cursor_ns());
     if (target_refs_[static_cast<size_t>(job.target)] > 0) {
       --target_refs_[static_cast<size_t>(job.target)];
     }
@@ -314,174 +311,29 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
     jobs_.pop_front();
   };
 
-  // Target died pre-commit, or the fill was re-planned away (the repair
-  // manager replaced a dead pending target): abort. The source keeps
-  // serving; the drain scan re-queues the move with a fresh target.
-  if (router_.state(job.target) == NodeState::kDead ||
-      router_.RebuildTarget(job.granule) != job.target) {
+  // Migration skips pages already fresh on the target (landed by an earlier
+  // sweep, a pre-crash copy, or a racing write-back), and rolls back on a
+  // lost page: unlike repair, the source copy still exists, so aborting
+  // loses nothing, while committing would cut over to a target with a hole.
+  GranuleCopier::Result r = copier_.Copy(job, now_ns, budget, kMigrationPipelineDepth,
+                                         /*skip_fresh=*/true, /*write_off_lost=*/false);
+  uint64_t moved = r.bytes;
+  stats_.migration_pages += r.written;
+  stats_.migration_bytes += moved;
+  if (job.phase == Phase::kCatchUp) {
+    // Only lagging pages are read in a catch-up pass: count the re-ships.
+    job.reshipped += r.read;
+    stats_.migration_reships += r.read;
+  }
+  if (r.stop == GranuleCopier::Stop::kSourceLost ||
+      r.stop == GranuleCopier::Stop::kTargetGone) {
+    // The target died pre-commit, the fill was re-planned away (the repair
+    // manager replaced a dead pending target), or a page is lost: the source
+    // keeps serving, and the drain scan re-queues the move later.
     abort_job();
-    return 0;
+    return moved;
   }
-
-  const PageStore& tstore = fabric_.node(job.target).store();
-  size_t depth = cfg_.pipeline_depth == 0 ? 1 : cfg_.pipeline_depth;
-  uint64_t moved = 0;
-  bool stalled = false;
-  while (!stalled && job.next_page < kPagesPerGranule && moved < budget) {
-    // Pipelined copy window, same shape as the repair engine: overlapping
-    // source reads, each target write issued as its read completes.
-    flights_.clear();
-    uint64_t issue = cursor_ns_;
-    uint64_t window_done = cursor_ns_;
-    uint64_t window_bytes = 0;
-    while (job.next_page < kPagesPerGranule && flights_.size() < depth &&
-           moved + window_bytes < budget) {
-      uint64_t page_va = granule_base + static_cast<uint64_t>(job.next_page) * kPageSize;
-      uint32_t page_idx = job.next_page;
-      ++job.next_page;
-      uint32_t expected = router_.PageGeneration(page_va);
-      // Already landed on the target at the current generation — by this
-      // copy, an earlier (pre-crash) copy attempt, or a racing write-back
-      // that fanned out to the uncommitted target. Nothing to move.
-      if (tstore.Materialized(page_va >> kPageShift) &&
-          tstore.HasChecksum(page_va >> kPageShift) &&
-          !PageIsStale(tstore, page_va, expected)) {
-        continue;
-      }
-      router_.ReplicaNodes(page_va, &replica_scratch_);
-      Flight f;
-      f.page_va = page_va;
-      f.buf.resize(kPageSize);
-      bool have = false;
-      bool had_source = false;
-      uint64_t fcursor = issue;
-      // Trust-ranked sources (see RepairManager::DrainFront): generation-
-      // fresh checksummed copies first, then stale-but-checksummed, then
-      // unverifiable — a laggard replica's bytes are never laundered into
-      // fresh state while a fresh holder exists.
-      for (int pass = 0; pass < 3 && !have; ++pass) {
-        for (int n : replica_scratch_) {
-          if (have) {
-            break;
-          }
-          if (n == job.target || !router_.Readable(n, job.granule)) {
-            continue;
-          }
-          const PageStore& nstore = fabric_.node(n).store();
-          if (!nstore.Materialized(page_va >> kPageShift)) {
-            continue;
-          }
-          int rank = 2;
-          if (nstore.HasChecksum(page_va >> kPageShift)) {
-            rank = PageIsStale(nstore, page_va, expected) ? 1 : 0;
-          }
-          if (rank != pass) {
-            continue;
-          }
-          had_source = true;
-          for (int attempt = 0; attempt < 2 && !have; ++attempt) {
-            Completion rc = qps_[static_cast<size_t>(n)]->PostRead(
-                ++wr_id_, reinterpret_cast<uint64_t>(f.buf.data()), page_va, kPageSize,
-                fcursor);
-            if (rc.status != WcStatus::kSuccess) {
-              detector_.OnOpTimeout(n, rc.completion_time_ns);
-              fcursor = rc.completion_time_ns;
-              break;  // Next replica.
-            }
-            if (VerifyPageBytes(nstore, page_va, f.buf.data())) {
-              have = true;
-              f.ready_ns = rc.completion_time_ns;
-              f.bytes = 2ULL * kPageSize;
-              f.gen = nstore.Generation(page_va >> kPageShift);
-            } else {
-              stats_.checksum_mismatches++;
-              stats_.refetches++;
-              tracer_->Record(rc.completion_time_ns, TraceEvent::kChecksumMismatch,
-                              page_va, /*detail=*/0);
-              fcursor = rc.completion_time_ns;
-            }
-          }
-        }
-      }
-      if (!have && router_.ec_enabled() && router_.ec().m > 0) {
-        // EC: regenerate the member's page from k surviving stripe members.
-        uint64_t stripe = router_.EcStripeOf(job.granule);
-        int member = router_.EcMemberOf(job.granule);
-        bool any = false;
-        for (int j = 0; j < router_.ec().k + router_.ec().m && !any; ++j) {
-          if (j == member || !router_.EcMemberReadable(stripe, j)) {
-            continue;
-          }
-          uint64_t member_page = router_.EcMemberPageVa(stripe, j, page_idx) >> kPageShift;
-          any = fabric_.node(router_.EcNode(stripe, j)).store().Materialized(member_page);
-        }
-        if (any) {
-          had_source = true;
-          if (EcReconstructPage(router_, fabric_.cost(), /*core=*/0, CommChannel::kManager,
-                                stripe, member, page_idx, f.buf.data(), &fcursor, &wr_id_,
-                                stats_, tracer_)) {
-            have = true;
-            f.ready_ns = fcursor;
-            f.bytes = static_cast<uint64_t>(router_.ec().k + 1) * kPageSize;
-            f.gen = expected;
-          }
-        }
-      }
-      if (fcursor > window_done) {
-        window_done = fcursor;
-      }
-      if (!have) {
-        if (had_source) {
-          // A holder exists but yielded no verified bytes (transient source
-          // fault). Stall and retry later; if the budget runs out, abort the
-          // whole migration — unlike repair, the source copy still exists,
-          // so rolling back loses nothing, while committing would cut over
-          // to a target with a hole.
-          if (job.stalls < cfg_.max_page_stalls) {
-            ++job.stalls;
-            job.next_page = page_idx;
-            stalled = true;
-            break;
-          }
-          cursor_ns_ = window_done;
-          abort_job();
-          return moved;
-        }
-        continue;  // No surviving holder anywhere: nothing remote to move.
-      }
-      // Catch-up pass: only lagging pages reach this point (the freshness
-      // skip above filtered caught-up ones); count the re-ship.
-      if (job.phase == Phase::kCatchUp) {
-        ++job.reshipped;
-        stats_.migration_reships++;
-      }
-      window_bytes += f.bytes;
-      flights_.push_back(std::move(f));
-    }
-    for (Flight& f : flights_) {
-      Completion wc = WritePageChecked(qps_[static_cast<size_t>(job.target)],
-                                       fabric_.node(job.target).store(), f.page_va,
-                                       f.buf.data(), f.ready_ns, &wr_id_, stats_, tracer_,
-                                       f.gen);
-      if (wc.completion_time_ns > window_done) {
-        window_done = wc.completion_time_ns;
-      }
-      if (wc.status != WcStatus::kSuccess) {
-        detector_.OnOpTimeout(job.target, wc.completion_time_ns);
-        cursor_ns_ = window_done;
-        // Rewind past the failed write (see the repair engine's rationale);
-        // a genuinely dead target aborts via the state check next call.
-        job.next_page = static_cast<uint32_t>((f.page_va - granule_base) >> kPageShift);
-        return moved;
-      }
-      job.stalls = 0;
-      stats_.migration_pages++;
-      stats_.migration_bytes += f.bytes;
-      moved += f.bytes;
-    }
-    cursor_ns_ = window_done;
-  }
-  if (stalled) {
+  if (r.stop == GranuleCopier::Stop::kStalled) {
     // Rotate to the back so one flaky source doesn't head-of-line block
     // every other migration.
     Job j = job;
@@ -490,7 +342,7 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
     return moved;
   }
   if (job.next_page < kPagesPerGranule) {
-    return moved;  // Budget exhausted mid-granule.
+    return moved;  // Budget exhausted mid-granule, or a target write failed.
   }
 
   // End of a sweep over the granule.
@@ -498,7 +350,7 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
     job.phase = Phase::kCatchUp;
     job.next_page = 0;
     job.reshipped = 0;
-    NotifyPhase(job, cursor_ns_);
+    NotifyPhase(job, copier_.cursor_ns());
     return moved;
   }
   if (job.reshipped != 0) {
@@ -506,7 +358,7 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
     // side; verify again. Bounded: a workload dirtying pages faster than a
     // pass completes would otherwise never converge.
     ++job.passes;
-    if (job.passes >= cfg_.max_catchup_passes) {
+    if (job.passes >= kMaxCatchupPasses) {
       abort_job();
       return moved;
     }
@@ -520,11 +372,8 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
   // crashed after its last copied byte still has caught-up-looking store
   // metadata, so only a live round trip proves the cutover is safe. On
   // timeout the detector gets its strike and the pass is re-verified next
-  // tick; a genuinely dead target then aborts via the state check.
-  uint8_t ack[64];
-  Completion hs = qps_[static_cast<size_t>(job.target)]->PostRead(
-      ++wr_id_, reinterpret_cast<uint64_t>(ack), granule_base, sizeof(ack), cursor_ns_);
-  cursor_ns_ = hs.completion_time_ns;
+  // tick; a genuinely dead target then aborts as kTargetGone.
+  Completion hs = copier_.RoundTrip(job.target, granule_base);
   if (hs.status != WcStatus::kSuccess) {
     detector_.OnOpTimeout(job.target, hs.completion_time_ns);
     job.next_page = 0;  // Re-verify freshness before the next commit attempt.
@@ -532,7 +381,7 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
   }
 
   // Cut over.
-  uint64_t expire_ns = cursor_ns_ + cfg_.forward_window_ns;
+  uint64_t expire_ns = copier_.cursor_ns() + cfg_.forward_window_ns;
   if (!router_.CommitMigration(job.granule, expire_ns)) {
     abort_job();  // Lost the race to a re-plan between checks; retry later.
     return moved;
@@ -544,15 +393,15 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
   if (target_refs_[static_cast<size_t>(job.target)] > 0) {
     --target_refs_[static_cast<size_t>(job.target)];
   }
-  tracer_->Record(cursor_ns_, TraceEvent::kMigrateCommit, granule_base,
+  tracer_->Record(copier_.cursor_ns(), TraceEvent::kMigrateCommit, granule_base,
                   static_cast<uint32_t>(job.target));
   job.phase = Phase::kForward;
-  NotifyPhase(job, cursor_ns_);
+  NotifyPhase(job, copier_.cursor_ns());
   if (router_.Forwarding(job.granule) != nullptr) {
     windows_.push_back(job);  // Stays in active_ until the window closes.
   } else {
     // Source already left the set (died mid-copy): no window to keep open.
-    EmitSpan(job, cursor_ns_);
+    EmitSpan(job, copier_.cursor_ns());
     active_.erase(job.granule);
   }
   jobs_.pop_front();

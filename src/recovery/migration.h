@@ -8,16 +8,17 @@
 //   copy      The target joins the replica set as an uncommitted rebuild
 //             target (ShardRouter::BeginMigration): every write-back racing
 //             the copy fans out to it too, but it serves no reads. The copy
-//             itself reuses the repair engine's shape — pipelined windows of
-//             verified source reads, trust-ranked sources, EC reconstruct
-//             fallback, stall/rewind on transient source faults.
+//             runs on the same GranuleCopier as repair (granule_copy.h),
+//             skipping pages already fresh on the target; a page whose stall
+//             budget runs out rolls the migration back instead of being
+//             written off, since the source copy still exists.
 //   catch-up  The "freeze" a real cluster would need is zero-length here:
 //             concurrent writes already land on the target, so freezing
 //             reduces to *verifying* the target caught up. Pages whose
 //             stored write-generation lags the router's expected generation
 //             (their racing write-back was dropped by a fault) are
 //             re-shipped from a fresh source; passes repeat until a pass
-//             re-ships nothing, bounded by `max_catchup_passes`.
+//             re-ships nothing, bounded by kMaxCatchupPasses.
 //   remap     After a clean catch-up pass a commit handshake (one live round
 //             trip to the target) guards the cutover: a target that crashed
 //             after its last copied byte still has caught-up-looking store
@@ -55,6 +56,7 @@
 #include "src/dilos/shard.h"
 #include "src/memnode/fabric.h"
 #include "src/recovery/failure_detector.h"
+#include "src/recovery/granule_copy.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
 #include "src/telemetry/metrics.h"
@@ -62,22 +64,9 @@
 namespace dilos {
 
 struct MigrationConfig {
-  // Migration-bandwidth throttle, same contract as RepairConfig: payload
-  // bytes (source read + target write) moved per tick.
-  uint64_t bytes_per_tick = 512 * 1024;
-  uint64_t min_interval_ns = 20'000;  // Spacing between migration ticks.
-  size_t pipeline_depth = 8;          // Copy reads kept in flight at once.
-  // Transient-source stall budget per job (see RepairConfig::max_page_stalls
-  // for the mechanism). A migration that exhausts it rolls back instead of
-  // committing with a hole: unlike repair, the source copy still exists, so
-  // aborting loses nothing and the drain scan retries later.
-  uint32_t max_page_stalls = 16;
   // How long the post-cutover forwarding window stays open (simulated ns):
   // an upper bound on how stale a racing read's routing decision can be.
   uint64_t forward_window_ns = 200'000;
-  // Catch-up passes before the migration gives up and rolls back (each pass
-  // only re-ships pages whose target generation still lags).
-  uint32_t max_catchup_passes = 8;
 };
 
 class MigrationManager {
@@ -106,7 +95,8 @@ class MigrationManager {
   bool DrainNode(int node, uint64_t now_ns);
 
   // Clock hook: scans draining nodes for granules still to move, drains up
-  // to `bytes_per_tick` of copy work, and closes expired forward windows.
+  // to kMigrationBytesPerTick of copy work, and closes expired forward
+  // windows.
   void Tick(uint64_t now_ns);
 
   // Coordinator crash + restart: in-memory jobs are lost; everything is
@@ -132,28 +122,15 @@ class MigrationManager {
   bool draining(int node) const { return draining_.count(node) != 0; }
   // Completion frontier of the serialized migration copy stream (see
   // RepairManager::stream_cursor_ns).
-  uint64_t stream_cursor_ns() const { return cursor_ns_; }
+  uint64_t stream_cursor_ns() const { return copier_.cursor_ns(); }
 
  private:
-  struct Job {
-    uint64_t granule = 0;
+  struct Job : GranuleFill {
     int source = -1;
-    int target = -1;
     Phase phase = Phase::kCopy;
-    uint32_t next_page = 0;   // Index within the granule.
-    uint32_t stalls = 0;      // Transient-source retries burned.
     uint32_t passes = 0;      // Catch-up passes completed.
     uint32_t reshipped = 0;   // Pages re-shipped in the current pass.
     uint64_t start_ns = 0;    // For the migrate-granule span.
-  };
-
-  // One pipelined copy in flight (same shape as RepairManager::Flight).
-  struct Flight {
-    uint64_t page_va = 0;
-    uint64_t ready_ns = 0;
-    uint64_t bytes = 0;
-    uint32_t gen = 0;
-    std::vector<uint8_t> buf;
   };
 
   // Queues migration jobs for draining nodes' granules; retires nodes with
@@ -188,17 +165,14 @@ class MigrationManager {
   const MetricsRegistry* metrics_ = nullptr;
   PhaseObserver on_phase_;
 
-  std::vector<QueuePair*> qps_;  // One dedicated migration QP per node.
+  GranuleCopier copier_;
   std::deque<Job> jobs_;
   std::vector<Job> windows_;  // Committed cutovers with an open window.
   std::unordered_set<uint64_t> active_;  // Granules with a queued job.
   std::unordered_set<int> draining_;     // Nodes being emptied.
   std::vector<uint32_t> target_refs_;    // In-flight fills per target node.
   std::vector<int> replica_scratch_;
-  std::vector<Flight> flights_;
-  uint64_t wr_id_ = 0;
   uint64_t last_tick_ns_ = 0;
-  uint64_t cursor_ns_ = 0;  // Issue-time cursor serializing the copy stream.
 };
 
 }  // namespace dilos

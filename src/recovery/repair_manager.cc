@@ -1,6 +1,5 @@
 #include "src/recovery/repair_manager.h"
 
-#include "src/recovery/ec_read.h"
 #include "src/recovery/integrity.h"
 
 namespace dilos {
@@ -12,17 +11,11 @@ RepairManager::RepairManager(Fabric& fabric, ShardRouter& router, FailureDetecto
       detector_(detector),
       stats_(stats),
       tracer_(tracer),
-      cfg_(cfg) {
-  if (tracer_ == nullptr) {
-    static Tracer null_tracer(0);
-    tracer_ = &null_tracer;
-  }
+      cfg_(cfg),
+      copier_(fabric, router, detector, stats, tracer) {
   int n = fabric.num_nodes();
   dead_handled_.assign(static_cast<size_t>(n), 0);
   target_refs_.assign(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    qps_.push_back(fabric.CreateQp(i, QpClass::kRepair));
-  }
 }
 
 void RepairManager::Tick(uint64_t now_ns) {
@@ -34,7 +27,7 @@ void RepairManager::Tick(uint64_t now_ns) {
   if (detector_.latest_ns() > now_ns) {
     now_ns = detector_.latest_ns();
   }
-  if (now_ns < last_tick_ns_ + cfg_.min_interval_ns) {
+  if (now_ns < last_tick_ns_ + kCopyTickIntervalNs) {
     return;
   }
   last_tick_ns_ = now_ns;
@@ -339,209 +332,41 @@ void RepairManager::OnNodeReadmitted(int node, uint64_t now_ns) {
 
 uint64_t RepairManager::DrainFront(uint64_t now_ns, uint64_t budget) {
   Job& job = jobs_.front();
-  uint64_t granule_base = job.granule << kShardGranuleShift;
-  if (cursor_ns_ < now_ns) {
-    cursor_ns_ = now_ns;
-  }
-
-  auto retire = [&](bool committed) {
-    int target = job.target;
-    if (committed) {
-      router_.CommitRebuild(job.granule);
-      stats_.repair_granules++;
-      tracer_->Record(cursor_ns_, TraceEvent::kRepairDone, granule_base,
-                      static_cast<uint32_t>(target));
-    }
-    if (target_refs_[static_cast<size_t>(target)] > 0 &&
-        --target_refs_[static_cast<size_t>(target)] == 0 &&
-        router_.state(target) == NodeState::kRebuilding) {
-      router_.MarkLive(target);  // Spare fully adopted.
-    }
-    jobs_.pop_front();
-  };
-
-  // The target itself died, or this job was superseded by a re-plan after a
-  // second failure: drop it, the new job carries the work.
-  if (router_.state(job.target) == NodeState::kDead ||
-      router_.RebuildTarget(job.granule) != job.target) {
-    retire(/*committed=*/false);
-    return 0;
-  }
-
-  size_t depth = cfg_.pipeline_depth == 0 ? 1 : cfg_.pipeline_depth;
-  uint64_t moved = 0;
-  bool stalled = false;
-  while (!stalled && job.next_page < kPagesPerGranule && moved < budget) {
-    // Fill a window of up to `depth` source reads, all issued at the same
-    // cursor: their fabric latencies overlap, and the target writes below
-    // overlap the rest of the window's reads — with depth == 1 this
-    // degenerates to the serial read-then-write copy loop.
-    flights_.clear();
-    uint64_t issue = cursor_ns_;
-    uint64_t window_done = cursor_ns_;
-    uint64_t window_bytes = 0;
-    while (job.next_page < kPagesPerGranule && flights_.size() < depth &&
-           moved + window_bytes < budget) {
-      uint64_t page_va = granule_base + static_cast<uint64_t>(job.next_page) * kPageSize;
-      uint32_t page_idx = job.next_page;
-      ++job.next_page;
-      router_.ReplicaNodes(page_va, &replica_scratch_);
-      Flight f;
-      f.page_va = page_va;
-      f.buf.resize(kPageSize);
-      bool have = false;
-      bool had_source = false;
-      uint64_t fcursor = issue;
-      // Source: a readable replica that actually holds the page, whose
-      // arrival verifies against its stored checksum (one re-read covers a
-      // wire flip; a second mismatch moves on to the next replica). A page
-      // no surviving replica materialized was never cleaned anywhere remote
-      // (its content is local or all-zero) — nothing to copy. Sources rank
-      // by trustworthiness — pass 0: checksummed and generation-fresh;
-      // pass 1: checksummed but generation-lagged (missed a write-back
-      // round); pass 2: unverifiable. The copy that lands on the target
-      // gets fresh metadata, so preferring a fresh source keeps a laggard
-      // replica's stale bytes from being laundered into verified-current
-      // state — while a stale copy still beats losing the page outright
-      // when it is the last one standing (its lagging generation travels
-      // with it, so readers keep seeing it for what it is).
-      for (int pass = 0; pass < 3 && !have; ++pass) {
-        for (int n : replica_scratch_) {
-          if (have) {
-            break;
-          }
-          if (n == job.target || !router_.Readable(n, job.granule)) {
-            continue;
-          }
-          const PageStore& nstore = fabric_.node(n).store();
-          if (!nstore.Materialized(page_va >> kPageShift)) {
-            continue;
-          }
-          int rank = 2;
-          if (nstore.HasChecksum(page_va >> kPageShift)) {
-            rank = PageIsStale(nstore, page_va, router_.PageGeneration(page_va)) ? 1 : 0;
-          }
-          if (rank != pass) {
-            continue;
-          }
-          had_source = true;
-          for (int attempt = 0; attempt < 2 && !have; ++attempt) {
-            Completion rc = qps_[static_cast<size_t>(n)]->PostRead(
-                ++wr_id_, reinterpret_cast<uint64_t>(f.buf.data()), page_va, kPageSize,
-                fcursor);
-            if (rc.status != WcStatus::kSuccess) {
-              detector_.OnOpTimeout(n, rc.completion_time_ns);
-              fcursor = rc.completion_time_ns;
-              break;  // Next replica.
-            }
-            if (VerifyPageBytes(fabric_.node(n).store(), page_va, f.buf.data())) {
-              have = true;
-              f.ready_ns = rc.completion_time_ns;
-              f.bytes = 2ULL * kPageSize;  // Source read + target write.
-              f.gen = nstore.Generation(page_va >> kPageShift);
-            } else {
-              stats_.checksum_mismatches++;
-              stats_.refetches++;
-              tracer_->Record(rc.completion_time_ns, TraceEvent::kChecksumMismatch, page_va,
-                              /*detail=*/0);
-              fcursor = rc.completion_time_ns;
-            }
-          }
-        }
-      }
-      if (!have && router_.ec_enabled() && router_.ec().m > 0) {
-        // EC: the lost member's single copy is gone — regenerate the page by
-        // decoding k surviving stripe members (rebuild-from-parity). Pages no
-        // survivor materialized decode to zeros; skip them so the target's
-        // store stays a capacity-honest image of what was actually written.
-        uint64_t stripe = router_.EcStripeOf(job.granule);
-        int member = router_.EcMemberOf(job.granule);
-        bool any = false;
-        for (int j = 0; j < router_.ec().k + router_.ec().m && !any; ++j) {
-          if (j == member || !router_.EcMemberReadable(stripe, j)) {
-            continue;
-          }
-          uint64_t member_page = router_.EcMemberPageVa(stripe, j, page_idx) >> kPageShift;
-          any = fabric_.node(router_.EcNode(stripe, j)).store().Materialized(member_page);
-        }
-        if (any) {
-          had_source = true;
-          if (EcReconstructPage(router_, fabric_.cost(), /*core=*/0, CommChannel::kManager,
-                                stripe, member, page_idx, f.buf.data(), &fcursor, &wr_id_,
-                                stats_, tracer_)) {
-            have = true;
-            f.ready_ns = fcursor;
-            f.bytes = static_cast<uint64_t>(router_.ec().k + 1) * kPageSize;
-            // A decode of fresh survivors yields the current content.
-            f.gen = router_.PageGeneration(page_va);
-          }
-        }
-      }
-      if (fcursor > window_done) {
-        window_done = fcursor;
-      }
-      if (!have) {
-        if (had_source) {
-          // A holder exists but no read yielded verified bytes — a source
-          // timeout or repeated wire flips, both transient. Skipping here
-          // would *commit the rebuild with this page missing*: if the holder
-          // later dies, a sole-copy page becomes permanently unreachable
-          // even though no two faults ever overlapped. Stall instead: rewind
-          // to this page and retry on a later tick, bounded so persistent
-          // rot on every readable holder cannot wedge the job.
-          if (job.stalls < cfg_.max_page_stalls) {
-            ++job.stalls;
-            job.next_page = page_idx;
-            stalled = true;
-            break;
-          }
-          stats_.repair_pages_lost++;  // Stall budget spent: bytes are gone.
-        }
-        continue;
-      }
-      window_bytes += f.bytes;
-      flights_.push_back(std::move(f));
-    }
-    // Drain: checked write of each verified page to the target, issued as
-    // its source read completes (not after the whole window returns).
-    for (Flight& f : flights_) {
-      Completion wc = WritePageChecked(qps_[static_cast<size_t>(job.target)],
-                                       fabric_.node(job.target).store(), f.page_va,
-                                       f.buf.data(), f.ready_ns, &wr_id_, stats_, tracer_,
-                                       f.gen);
-      if (wc.completion_time_ns > window_done) {
-        window_done = wc.completion_time_ns;
-      }
-      if (wc.status != WcStatus::kSuccess) {
-        detector_.OnOpTimeout(job.target, wc.completion_time_ns);
-        cursor_ns_ = window_done;
-        // Rewind past the failed write: `next_page` already advanced over
-        // this whole window, and returning without rewinding would commit
-        // the rebuild with every unwritten page of the window missing once
-        // the target blip clears. A genuinely dead target still retires the
-        // job via the state check above.
-        job.next_page = static_cast<uint32_t>((f.page_va - granule_base) >> kPageShift);
-        return moved;
-      }
-      job.stalls = 0;  // Progress refills the stall budget.
-      stats_.repair_pages++;
-      stats_.repair_bytes += f.bytes;
-      moved += f.bytes;
-    }
-    cursor_ns_ = window_done;
-  }
-  if (stalled) {
+  // Repair copies every page the target lacks and writes off a page whose
+  // stall budget ran out: the rest of the granule still regains redundancy.
+  GranuleCopier::Result r = copier_.Copy(job, now_ns, budget, cfg_.pipeline_depth,
+                                         /*skip_fresh=*/false, /*write_off_lost=*/true);
+  stats_.repair_pages += r.written;
+  stats_.repair_bytes += r.bytes;
+  stats_.repair_pages_lost += r.lost;
+  if (r.stop == GranuleCopier::Stop::kStalled) {
     // Rotate the stalled job to the back so one unreadable source doesn't
     // head-of-line block every other granule's rebuild.
     Job j = job;
     jobs_.pop_front();
     jobs_.push_back(j);
-    return moved;
+    return r.bytes;
   }
-  if (job.next_page >= kPagesPerGranule) {
-    retire(/*committed=*/true);
+  // A gone target (it died, or a re-plan after a second failure superseded
+  // this job) retires the job uncommitted: the new job carries the work.
+  bool committed = r.stop != GranuleCopier::Stop::kTargetGone;
+  if (committed && job.next_page < kPagesPerGranule) {
+    return r.bytes;  // Budget spent mid-granule, or a target write failed.
   }
-  return moved;
+  int target = job.target;
+  if (committed) {
+    router_.CommitRebuild(job.granule);
+    stats_.repair_granules++;
+    tracer_->Record(copier_.cursor_ns(), TraceEvent::kRepairDone,
+                    job.granule << kShardGranuleShift, static_cast<uint32_t>(target));
+  }
+  if (target_refs_[static_cast<size_t>(target)] > 0 &&
+      --target_refs_[static_cast<size_t>(target)] == 0 &&
+      router_.state(target) == NodeState::kRebuilding) {
+    router_.MarkLive(target);  // Spare fully adopted.
+  }
+  jobs_.pop_front();
+  return r.bytes;
 }
 
 }  // namespace dilos

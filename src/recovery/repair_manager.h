@@ -6,7 +6,8 @@
 // set, picks a replacement node for each degraded granule (a spare if the
 // fabric has one, otherwise the least-loaded surviving node outside the
 // replica set), and copies the granule's materialized pages from a
-// surviving replica over dedicated repair QPs.
+// surviving replica with the page-copy engine it shares with migration
+// (granule_copy.h).
 //
 // Repair runs from the same simulated-clock background hooks as the
 // cleaner/reclaimer: its CPU time is free (spare cores) but its RDMA
@@ -25,6 +26,7 @@
 #include "src/dilos/shard.h"
 #include "src/memnode/fabric.h"
 #include "src/recovery/failure_detector.h"
+#include "src/recovery/granule_copy.h"
 #include "src/recovery/migration.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
@@ -37,18 +39,11 @@ struct RepairConfig {
   // moved per tick. Raising it shortens rebuild time but steals link time
   // from demand fetches (measured by bench_ext_recovery).
   uint64_t bytes_per_tick = 512 * 1024;
-  uint64_t min_interval_ns = 20'000;  // Spacing between repair ticks.
   // Repair copies kept in flight at once: a window of source reads is posted
   // at the same issue time (their fabric latencies overlap) and each target
   // write overlaps the remaining reads. 1 = fully serial copy loop;
   // bench_ext_recovery measures the rebuild-throughput gain.
   size_t pipeline_depth = 8;
-  // How many times a job may stall on a page whose holders exist but yielded
-  // no verified bytes (source timeout or repeated wire flips) before the
-  // page is abandoned as lost. Each stall re-tries on a later tick — a
-  // transient fault clears by then — so only persistent rot on every
-  // readable holder exhausts it.
-  uint32_t max_page_stalls = 16;
 };
 
 // Aggregate knob block consumed by DilosConfig.
@@ -56,7 +51,6 @@ struct RecoveryOptions {
   bool enabled = false;
   // Trailing fabric nodes held out of hash placement as repair targets.
   int spare_nodes = 0;
-  FailureDetectorConfig detector;
   RepairConfig repair;
   MigrationConfig migration;
   // Demand-fetch retry budget: a per-core token bucket caps how many
@@ -96,25 +90,10 @@ class RepairManager {
   // the next copy, i.e. when the work drained so far is done in simulated
   // time. (span = cursor at idle − time repair began) measures rebuild
   // throughput independent of how often ticks fire.
-  uint64_t stream_cursor_ns() const { return cursor_ns_; }
+  uint64_t stream_cursor_ns() const { return copier_.cursor_ns(); }
 
  private:
-  struct Job {
-    uint64_t granule = 0;
-    int target = -1;
-    uint32_t next_page = 0;  // Index within the granule.
-    uint32_t stalls = 0;     // Source-failure retries burned (max_page_stalls).
-  };
-
-  // One pipelined repair copy: a verified source page waiting for (or in)
-  // its target write.
-  struct Flight {
-    uint64_t page_va = 0;
-    uint64_t ready_ns = 0;  // Source read (or EC decode) completion.
-    uint64_t bytes = 0;     // Payload accounting for the budget/stats.
-    uint32_t gen = 0;       // Write generation travelling with the bytes.
-    std::vector<uint8_t> buf;
-  };
+  using Job = GranuleFill;
 
   void ScanForFailures(uint64_t now_ns);
   // Granules whose dead replica was dropped while another fill (repair or
@@ -143,17 +122,14 @@ class RepairManager {
   RepairConfig cfg_;
   const MetricsRegistry* metrics_ = nullptr;
 
-  std::vector<QueuePair*> qps_;  // One dedicated repair QP per node.
+  GranuleCopier copier_;
   std::deque<Job> jobs_;
   std::vector<char> dead_handled_;    // Dead nodes already scanned.
   std::vector<uint32_t> target_refs_;  // Granule rebuilds in flight per target.
   std::vector<int> replica_scratch_;
   std::vector<int> ec_scratch_;  // Stripe member nodes (EC target exclusion).
   std::vector<uint64_t> deferred_;  // Granules awaiting a post-fill re-plan.
-  std::vector<Flight> flights_;  // In-flight window scratch (DrainFront).
-  uint64_t wr_id_ = 0;           // For reconstruction reads posted directly.
   uint64_t last_tick_ns_ = 0;
-  uint64_t cursor_ns_ = 0;  // Issue-time cursor serializing the repair stream.
 };
 
 }  // namespace dilos

@@ -64,13 +64,13 @@ bool SloEngine::Observe(int tenant, uint64_t latency_ns, uint64_t now_ns) {
   double fast_burn = s.fast.BadFraction() / allowed;
   double slow_burn = s.slow.BadFraction() / allowed;
   if (!s.alert_active) {
-    if (fast_burn >= cfg_.fast_burn_alert && slow_burn >= cfg_.slow_burn_alert) {
+    if (fast_burn >= kFastBurnAlert && slow_burn >= kSlowBurnAlert) {
       s.alert_active = true;
       ++s.alerts;
       s.last_alert_ns = now_ns;
       return true;
     }
-  } else if (fast_burn < cfg_.fast_burn_alert * cfg_.clear_ratio) {
+  } else if (fast_burn < kFastBurnAlert * kClearRatio) {
     s.alert_active = false;
   }
   return false;

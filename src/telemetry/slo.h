@@ -12,7 +12,7 @@
 // Alerting is multi-window (fast AND slow must both burn) so a brief blip
 // can't page while a sustained regression pages quickly, with hysteresis: an
 // active alert re-arms only after the fast burn drops below
-// clear_ratio * fast threshold. Windows are measured in *fault counts*, not
+// kClearRatio * fast threshold. Windows are measured in *fault counts*, not
 // wall time — the simulator's clock rate varies wildly across cost models,
 // but "the last N faults" means the same thing everywhere. Each window is a
 // ring of kWindowBuckets sub-buckets (fixed memory, O(1) update); the rolling
@@ -49,12 +49,6 @@ struct SloConfig {
   // shrink both.
   uint64_t fast_window_faults = 1'000'000;
   uint64_t slow_window_faults = 32'000'000;
-  // Burn-rate thresholds; both must be met to fire (multi-window rule).
-  double fast_burn_alert = 14.0;
-  double slow_burn_alert = 1.0;
-  // Hysteresis: an active alert clears when the fast burn falls below
-  // clear_ratio * fast_burn_alert.
-  double clear_ratio = 0.5;
   // Objective applied to faults on untenanted regions (bucket "-1").
   SloObjective default_objective;
 };
@@ -65,6 +59,12 @@ class SloEngine {
   // 1..16 = tenant ids 0..15.
   static constexpr int kTenantBuckets = 17;
   static constexpr int kWindowBuckets = 8;
+  // Burn-rate thresholds; both must be met to fire (multi-window rule).
+  static constexpr double kFastBurnAlert = 14.0;
+  static constexpr double kSlowBurnAlert = 1.0;
+  // Hysteresis: an active alert clears when the fast burn falls below
+  // kClearRatio * kFastBurnAlert.
+  static constexpr double kClearRatio = 0.5;
 
   explicit SloEngine(const SloConfig& cfg);
 

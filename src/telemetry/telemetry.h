@@ -25,6 +25,10 @@
 
 namespace dilos {
 
+// Minimum sim-time between flight-recorder dumps, so an anomaly storm yields
+// one report.
+inline constexpr uint64_t kFlightMinIntervalNs = 1'000'000'000;
+
 struct TelemetryConfig {
   // Per-(node, QP class) op/byte/timeout/RTT metrics at the fabric choke
   // point, read back via rt.metrics() / MetricsRegistry::ToProm().
@@ -36,8 +40,6 @@ struct TelemetryConfig {
   // ring is disabled.
   size_t flight_capacity = 0;
   std::string flight_path;  // Dump target; empty = stderr.
-  // Minimum sim-time between dumps, so an anomaly storm yields one report.
-  uint64_t flight_min_interval_ns = 1'000'000'000;
   // Check cross-counter invariants (src/telemetry/invariants.h) in the
   // runtime destructor and abort on violation. For tests: every
   // telemetry-enabled run doubles as an accounting audit.
@@ -68,7 +70,7 @@ class Telemetry {
     }
     if (cfg.flight_capacity != 0) {
       flight_ = std::make_unique<FlightRecorder>(cfg.flight_capacity, cfg.flight_path,
-                                                 cfg.flight_min_interval_ns);
+                                                 kFlightMinIntervalNs);
     }
     if (cfg.attribution || cfg.slo.enabled) {
       attribution_ = std::make_unique<FaultAttribution>();

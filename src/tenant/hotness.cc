@@ -5,6 +5,12 @@
 
 namespace dilos {
 
+namespace {
+
+constexpr double kEwmaAlpha = 0.4;  // Weight of the newest interval's node load.
+
+}  // namespace
+
 HotnessMonitor::HotnessMonitor(ShardRouter& router, MigrationManager& migration,
                                MetricsRegistry* const* metrics, RuntimeStats& stats,
                                Tracer* tracer, const HotnessConfig& cfg, int num_nodes)
@@ -80,8 +86,7 @@ void HotnessMonitor::Tick(uint64_t now_ns) {
     uint64_t delta = cur - prev_bytes_[n];
     prev_bytes_[n] = cur;
     total_delta += delta;
-    ewma_[n] = cfg_.ewma_alpha * static_cast<double>(delta) +
-               (1.0 - cfg_.ewma_alpha) * ewma_[n];
+    ewma_[n] = kEwmaAlpha * static_cast<double>(delta) + (1.0 - kEwmaAlpha) * ewma_[n];
   }
 
   // Old heat fades so yesterday's hot spot cannot pin today's decisions.

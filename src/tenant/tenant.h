@@ -55,7 +55,6 @@ struct TenantSpec {
 struct HotnessConfig {
   bool enabled = false;
   uint64_t interval_ns = 500'000;    // Load-sampling cadence.
-  double ewma_alpha = 0.4;           // Weight of the newest interval.
   double imbalance_ratio = 2.0;      // Act when max/min node load exceeds this.
   uint64_t bytes_per_interval = 1 << 20;  // Migration budget per interval.
   uint64_t min_interval_bytes = 16 * 1024;  // Ignore near-idle intervals.

@@ -7,10 +7,7 @@ namespace dilos {
 
 CompressedTier::Admit CompressedTier::AdmitPage(uint64_t page_va, const uint8_t* page,
                                                 bool dirty, uint32_t* csize) {
-  size_t cap = static_cast<size_t>(cfg_.max_ratio * static_cast<double>(kPageSize));
-  if (cap > kPageSize) {
-    cap = kPageSize;
-  }
+  constexpr size_t cap = static_cast<size_t>(kTierMaxRatio * static_cast<double>(kPageSize));
   if (scratch_.size() < cap) {
     scratch_.resize(cap);
   }

@@ -8,7 +8,7 @@
 //
 //   * Admission: only full-content pages (guided/action evictions bypass —
 //     their live-segment encoding already beats compression) whose
-//     compressed size stays at or under max_ratio * kPageSize; pages that
+//     compressed size stays at or under kTierMaxRatio * kPageSize; pages that
 //     don't compress bypass straight to the remote write-back path.
 //   * Dirty entries carry a deferred write-back: the page manager's
 //     background loop drains them through the same checked write-back
@@ -34,29 +34,28 @@
 
 namespace dilos {
 
+// Admission ratio: a page is tier-worthy only if its compressed size is
+// <= kTierMaxRatio * kPageSize; anything denser bypasses to RDMA write-back
+// (storing near-incompressible pages would burn DRAM for no capacity win).
+inline constexpr double kTierMaxRatio = 0.7;
+// Dirty tier entries drained (written back remotely) per background tick.
+inline constexpr size_t kTierCleanBatch = 8;
+
 struct TierConfig {
   bool enabled = false;
   // Budget for compressed blocks (class-rounded bytes); the page manager
   // trims back under it after each admission.
   uint64_t capacity_bytes = 32ULL << 20;
-  // Admission ratio: a page is tier-worthy only if its compressed size is
-  // <= max_ratio * kPageSize; anything denser bypasses to RDMA write-back
-  // (storing near-incompressible pages would burn DRAM for no capacity win).
-  double max_ratio = 0.7;
-  // Dirty tier entries drained (written back remotely) per background tick.
-  size_t clean_batch = 8;
 };
 
 class CompressedTier {
  public:
   enum class Admit : uint8_t {
     kStored,          // Compressed and admitted.
-    kIncompressible,  // Over the max_ratio budget; caller writes back remotely.
+    kIncompressible,  // Over the kTierMaxRatio budget; caller writes back remotely.
   };
 
   explicit CompressedTier(const TierConfig& cfg) : cfg_(cfg) {}
-
-  const TierConfig& config() const { return cfg_; }
 
   // Compresses `page` (kPageSize bytes) and stores it keyed by `page_va`.
   // `dirty` marks a deferred write-back. On kStored, *csize receives the

@@ -372,7 +372,7 @@ TEST(SloEngine, WindowRolloverClearsWithHysteresisAndReArms) {
 
   // A long good stream rotates the bad observations out of both windows;
   // the alert clears only once the fast burn drops below
-  // clear_ratio * fast_burn_alert (hysteresis), not at the first good fault.
+  // kClearRatio * kFastBurnAlert (hysteresis), not at the first good fault.
   slo.Observe(0, 100, 1);
   EXPECT_TRUE(slo.alert_active(0)) << "one good fault must not clear the alert";
   int i = 2;
@@ -380,7 +380,7 @@ TEST(SloEngine, WindowRolloverClearsWithHysteresisAndReArms) {
     slo.Observe(0, 100, i);
   }
   EXPECT_FALSE(slo.alert_active(0)) << "rollover must eventually clear";
-  EXPECT_LT(slo.burn_rate(0, true), cfg.fast_burn_alert * cfg.clear_ratio);
+  EXPECT_LT(slo.burn_rate(0, true), SloEngine::kFastBurnAlert * SloEngine::kClearRatio);
 
   // Regression returns: the alert re-arms and fires a second time.
   bool refired = false;

@@ -215,6 +215,88 @@ TEST(Migration, RacingReadsAreForwardedThroughTheWindow) {
   EXPECT_EQ(VerifySweep(rt, region, pages), 0u);
 }
 
+// One granule of far data, replication 2 over 3 nodes: local memory holds 16
+// pages, so page 0 (the region base) is written back to both replicas.
+DilosConfig OneGranuleConfig() {
+  DilosConfig cfg = MigrationTestConfig(2);
+  cfg.local_mem_bytes = 16 * kPageSize;
+  return cfg;
+}
+
+TEST(Migration, RollsBackWhenEveryHolderOfAPageIsRotten) {
+  // Page 0's stored bytes rot on both replicas (their checksums stay). The
+  // copy stalls on the page until its budget runs out; unlike repair, the
+  // migration then rolls back instead of cutting over to a target with a
+  // hole, since the source replicas still hold the granule.
+  Fabric fabric(CostModel::Default(), 3);
+  DilosRuntime rt(fabric, OneGranuleConfig(), std::make_unique<NullPrefetcher>());
+  uint64_t region = rt.AllocRegion(kPagesPerGranule * kPageSize);
+  Populate(rt, region, kPagesPerGranule);
+  ASSERT_EQ(rt.router().written_granules().size(), 1u);
+  uint64_t granule = region >> kShardGranuleShift;
+  std::vector<int> replicas;
+  rt.router().ReplicaNodes(region, &replicas);
+  ASSERT_EQ(replicas.size(), 2u);
+  uint64_t page = region >> kPageShift;
+  for (int n : replicas) {
+    PageStore& store = fabric.node(n).store();
+    ASSERT_TRUE(store.Materialized(page) && store.HasChecksum(page));
+    store.PageData(page)[100] ^= 0xFF;
+  }
+
+  ASSERT_TRUE(rt.migration()->MigrateGranule(granule, replicas[0], rt.clock(0).now()));
+  DriveUntilIdle(rt);
+  ASSERT_TRUE(rt.RecoveryIdle());
+  EXPECT_EQ(rt.stats().migrations_rolled_back, 1u);
+  EXPECT_EQ(rt.stats().migrations_committed, 0u);
+  EXPECT_EQ(rt.router().MigratingTarget(granule), -1);
+  std::vector<int> after;
+  rt.router().ReplicaNodes(region, &after);
+  std::sort(replicas.begin(), replicas.end());
+  std::sort(after.begin(), after.end());
+  EXPECT_EQ(after, replicas) << "rollback keeps the original replica set";
+}
+
+TEST(Migration, CatchUpReshipsPageWhoseWriteBackMissedTheTarget) {
+  // At the catch-up boundary page 0 moves one write generation ahead in the
+  // router and on both source replicas, but not on the target: a racing
+  // write-back that reached the sources and missed the target. The catch-up
+  // pass must re-ship the page before the cutover commits.
+  Fabric fabric(CostModel::Default(), 3);
+  DilosRuntime rt(fabric, OneGranuleConfig(), std::make_unique<NullPrefetcher>());
+  uint64_t region = rt.AllocRegion(kPagesPerGranule * kPageSize);
+  Populate(rt, region, kPagesPerGranule);
+  ASSERT_EQ(rt.router().written_granules().size(), 1u);
+  ASSERT_NE(rt.router().PageGeneration(region), 0u);
+  uint64_t granule = region >> kShardGranuleShift;
+  std::vector<int> sources;
+  rt.router().ReplicaNodes(region, &sources);
+
+  auto bumped = std::make_shared<bool>(false);
+  rt.migration()->set_phase_observer(
+      [&rt, &fabric, region, sources, bumped](uint64_t, MigrationManager::Phase phase,
+                                              uint64_t) {
+        if (*bumped || phase != MigrationManager::Phase::kCatchUp) {
+          return;
+        }
+        *bumped = true;
+        uint32_t gen = rt.router().PageGeneration(region) + 1;
+        rt.router().SetPageGeneration(region, gen);
+        for (int n : sources) {
+          fabric.node(n).store().SetGeneration(region >> kPageShift, gen);
+        }
+      });
+  ASSERT_TRUE(rt.migration()->MigrateGranule(granule, sources[0], rt.clock(0).now()));
+  DriveUntilIdle(rt);
+  ASSERT_TRUE(rt.RecoveryIdle());
+  ASSERT_TRUE(*bumped);
+  EXPECT_GE(rt.stats().migration_reships, 1u);
+  EXPECT_EQ(rt.stats().migrations_committed, 1u);
+  EXPECT_EQ(rt.stats().migrations_rolled_back, 0u);
+  EXPECT_EQ(VerifySweep(rt, region, kPagesPerGranule), 0u);
+  EXPECT_EQ(rt.stats().failed_fetches, 0u);
+}
+
 // -- Graceful drain -----------------------------------------------------------
 
 TEST(MigrationDrain, DrainNodeEmptiesAndRetiresUnderLiveLoad) {

@@ -87,9 +87,7 @@ TEST(FailureDetector, SuspectRecoversOnSuccessfulProbe) {
   Fabric fabric(CostModel::Default(), 2);
   RuntimeStats stats;
   ShardRouter router(fabric, 1, 2, false);
-  FailureDetectorConfig cfg;
-  cfg.dead_after = 5;
-  FailureDetector det(fabric, router, stats, nullptr, cfg);
+  FailureDetector det(fabric, router, stats, nullptr);
 
   det.OnOpTimeout(0, 1'000);
   EXPECT_EQ(router.state(0), NodeState::kSuspect);
@@ -224,6 +222,50 @@ TEST(RepairManager, PickTargetBreaksTiesTowardLessLoadedNode) {
       << "rebuild must land on the less-loaded candidate";
   EXPECT_EQ(std::find(after.begin(), after.end(), candidates[0]), after.end())
       << "the hot node must lose the tiebreak";
+}
+
+TEST(RepairManager, WritesOffPageRottedOnLastHolderAndStillCommits) {
+  // One granule of far data on two of three nodes. Page 0's stored bytes rot
+  // on one replica (its checksum stays), then the other replica crashes: the
+  // rotted copy is the last one. Repair stalls on the page until its budget
+  // runs out, writes it off, and still restores redundancy for the rest.
+  Fabric fabric(CostModel::Default(), 3);
+  DilosConfig cfg = RecoveryConfig(2);
+  cfg.local_mem_bytes = 16 * kPageSize;  // Force write-back of the granule.
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  uint64_t region = rt.AllocRegion(kPagesPerGranule * kPageSize);
+  for (uint64_t p = 0; p < kPagesPerGranule; ++p) {
+    rt.Write<uint64_t>(region + p * kPageSize, p);
+  }
+  ASSERT_EQ(rt.router().written_granules().size(), 1u);
+  uint64_t granule = region >> kShardGranuleShift;
+  std::vector<int> replicas;
+  rt.router().ReplicaNodes(region, &replicas);
+  ASSERT_EQ(replicas.size(), 2u);
+  int survivor = replicas[0];
+  int target = 3 - replicas[0] - replicas[1];
+
+  ASSERT_EQ(PteTagOf(rt.page_table().Get(region)), PteTag::kRemote);
+  PageStore& store = fabric.node(survivor).store();
+  uint64_t page = region >> kPageShift;
+  ASSERT_TRUE(store.Materialized(page) && store.HasChecksum(page));
+  store.PageData(page)[100] ^= 0xFF;
+
+  fabric.CrashNode(replicas[1]);
+  rt.DriveRecovery(2'000'000);
+  ASSERT_EQ(rt.router().state(replicas[1]), NodeState::kDead);
+  DriveUntilIdle(rt);
+  ASSERT_TRUE(rt.RecoveryIdle());
+
+  EXPECT_EQ(rt.stats().repair_pages_lost, 1u);
+  EXPECT_EQ(rt.stats().repair_granules, 1u);
+  EXPECT_EQ(rt.router().RebuildTarget(granule), -1) << "the rebuild must commit";
+  EXPECT_EQ(rt.router().LiveReplicaCount(region), 2);
+  EXPECT_FALSE(fabric.node(target).store().Materialized(page)) << "the lost page is not copied";
+  for (uint64_t p = 1; p < kPagesPerGranule; ++p) {
+    EXPECT_EQ(rt.Read<uint64_t>(region + p * kPageSize), p) << p;
+  }
+  EXPECT_EQ(rt.stats().failed_fetches, 0u);
 }
 
 TEST(DegradedMode, WriteQpsSkipDeadAndIncludeRebuildTarget) {

@@ -723,7 +723,7 @@ TEST(RuntimeStatsReset, MemsetPoisonAuditCoversEveryField) {
   // If Reset() ever switches from whole-struct assignment to a hand-kept
   // field list, a forgotten counter keeps its poison and this memcmp fails.
   RuntimeStats s;
-  std::memset(&s, 0xAB, sizeof(s));
+  std::memset(static_cast<void*>(&s), 0xAB, sizeof(s));
   s.Reset();
   RuntimeStats fresh{};
   EXPECT_EQ(std::memcmp(&s, &fresh, sizeof(RuntimeStats)), 0);

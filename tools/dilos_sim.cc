@@ -2,7 +2,7 @@
 // testbed — pick a system, a workload, a local-memory fraction, and a
 // backend, and get completion time plus paging statistics.
 //
-//   dilos_sim --system=dilos --prefetch=readahead --workload=seqread \
+//   dilos_sim --system=dilos --prefetch=readahead --workload=seqread
 //             --local=0.125 --ws-mb=64 --backend=rdma
 //
 // Workloads: seqread, seqwrite, quicksort, kmeans, dataframe, pagerank, bc,
