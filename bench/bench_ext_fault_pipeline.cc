@@ -58,7 +58,7 @@ PipeRow Measure(const CostModel& cost, uint32_t depth, int cores) {
   uint64_t parks0 = st.fault_parks;
   uint64_t batches0 = st.fault_batched_installs;
   uint64_t stalls0 = st.fault_pipeline_stalls;
-  uint64_t t0 = rt.MaxTimeNs();
+  uint64_t t0 = rt.MaxWorkerTimeNs();
   for (int c = 0; c < cores; ++c) {
     uint64_t base = region + static_cast<uint64_t>(c) * per_core;
     for (uint64_t off = 0; off < per_core; off += kPageSize) {
@@ -67,7 +67,7 @@ PipeRow Measure(const CostModel& cost, uint32_t depth, int cores) {
     }
   }
   rt.Quiesce();
-  uint64_t elapsed = rt.MaxTimeNs() - t0;
+  uint64_t elapsed = rt.MaxWorkerTimeNs() - t0;
   PipeRow r;
   double secs = ToSeconds(elapsed);
   r.gbps = static_cast<double>(g_working_set) / 1e9 / secs;

@@ -243,7 +243,7 @@ void RunTraffic() {
                 static_cast<double>(rt.stats().bytes_fetched) / 1e6,
                 static_cast<double>(rt.stats().bytes_written) / 1e6,
                 static_cast<unsigned long long>(rt.stats().writebacks),
-                static_cast<double>(rt.MaxTimeNs()) / 1e6);
+                static_cast<double>(rt.MaxWorkerTimeNs()) / 1e6);
     BenchJson& j = BenchJson::Instance();
     j.BeginRecord("ext_tier.traffic");
     j.Config("ops", ops);
@@ -252,7 +252,7 @@ void RunTraffic() {
     j.Metric("bytes_fetched", rt.stats().bytes_fetched);
     j.Metric("bytes_written", rt.stats().bytes_written);
     j.Metric("writebacks", rt.stats().writebacks);
-    j.Metric("runtime_ms", static_cast<double>(rt.MaxTimeNs()) / 1e6);
+    j.Metric("runtime_ms", static_cast<double>(rt.MaxWorkerTimeNs()) / 1e6);
   }
   std::printf("\n");
 }

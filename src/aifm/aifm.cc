@@ -60,8 +60,7 @@ uint64_t AifmRuntime::PostObjectIo(Object& obj, bool is_write, uint64_t issue_ns
   while (left > 0) {
     uint32_t in_page = static_cast<uint32_t>(kPageSize - (remote & (kPageSize - 1)));
     uint32_t chunk = left < in_page ? static_cast<uint32_t>(left) : in_page;
-    wr.local.push_back({local, chunk});
-    wr.remote.push_back({remote, chunk});
+    wr.segs.push_back({local, remote, chunk});
     local += chunk;
     remote += chunk;
     left -= chunk;

@@ -102,8 +102,7 @@ void PageManager::Clean(uint64_t page_va, Pte* e, uint64_t now) {
       wr.opcode = RdmaOpcode::kWrite;
       wr.rkey = qp->remote_rkey();
       for (const PageSegment& s : segs) {
-        wr.local.push_back({frame_addr + s.offset, s.length});
-        wr.remote.push_back({page_va + s.offset, s.length});
+        wr.segs.push_back({frame_addr + s.offset, page_va + s.offset, s.length});
       }
       Completion c = qp->PostSend(wr, now);
       if (c.status != WcStatus::kSuccess) {

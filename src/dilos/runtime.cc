@@ -320,8 +320,7 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
       wr.opcode = RdmaOpcode::kRead;
       wr.rkey = t.qp->remote_rkey();
       for (const PageSegment& s : *segs) {
-        wr.local.push_back({frame_addr + s.offset, s.length});
-        wr.remote.push_back({page_va + s.offset, s.length});
+        wr.segs.push_back({frame_addr + s.offset, page_va + s.offset, s.length});
       }
       c = t.qp->PostSend(wr, *cursor_ns);
     }
@@ -329,13 +328,9 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
     tracer_.EndSpan(attempt_span, *cursor_ns);
     if (attr_ != nullptr && *cursor_ns > post_ns) {
       // Split this attempt between scheduler-lane queueing and the wire
-      // itself using the QP's breakdown of the post we just issued
-      // (read-after-post is safe: the simulator is single-threaded).
-      uint64_t total = *cursor_ns - post_ns;
-      uint64_t lane = t.qp->last_wire_breakdown().lane_ns;
-      lane = lane < total ? lane : total;
-      AttrAdd(core, FaultPhase::kLaneWait, lane);
-      AttrAdd(core, FaultPhase::kWire, total - lane);
+      // itself; the completion's queueing is already capped at its latency.
+      AttrAdd(core, FaultPhase::kLaneWait, c.queue_ns);
+      AttrAdd(core, FaultPhase::kWire, *cursor_ns - post_ns - c.queue_ns);
     }
     if (c.status == WcStatus::kSuccess) {
       if (segs == nullptr &&
@@ -599,14 +594,6 @@ void DilosRuntime::FreeRegion(uint64_t addr, uint64_t bytes) {
     }
     *e = 0;
   }
-}
-
-uint64_t DilosRuntime::MaxTimeNs() const {
-  uint64_t t = 0;
-  for (const Clock& c : clocks_) {
-    t = c.now() > t ? c.now() : t;
-  }
-  return t;
 }
 
 std::optional<FaultFiber> DilosRuntime::RetireParked(uint64_t page_va) {

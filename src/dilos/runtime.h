@@ -184,9 +184,6 @@ class DilosRuntime : public FarRuntime {
            (migration_ == nullptr || migration_->idle());
   }
 
-  // Highest clock across cores — the workload completion time.
-  uint64_t MaxTimeNs() const;
-
  private:
   friend class RuntimeGuideContext;
 

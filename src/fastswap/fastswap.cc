@@ -57,14 +57,6 @@ void FastswapRuntime::FreeRegion(uint64_t addr, uint64_t bytes) {
   }
 }
 
-uint64_t FastswapRuntime::MaxTimeNs() const {
-  uint64_t t = 0;
-  for (const Clock& c : clocks_) {
-    t = c.now() > t ? c.now() : t;
-  }
-  return t;
-}
-
 void FastswapRuntime::MapFrame(uint64_t page_va, uint32_t frame, bool write) {
   *pt_.Entry(page_va, true) =
       MakeLocalPte(frame, true) | kPteAccessed | (write ? kPteDirty : 0);

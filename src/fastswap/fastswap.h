@@ -50,7 +50,6 @@ class FastswapRuntime : public FarRuntime {
   RuntimeStats& stats() override { return stats_; }
   int num_cores() const override { return cfg_.num_cores; }
 
-  uint64_t MaxTimeNs() const;
   PageTable& page_table() { return pt_; }
   FramePool& frame_pool() { return pool_; }
   uint64_t direct_reclaims() const { return direct_reclaims_; }

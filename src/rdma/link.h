@@ -1,7 +1,8 @@
 // The shared 100 GbE link between the compute node and the memory node.
 //
 // Ops from every queue pair serialize on the wire: each op occupies the link
-// for a per-op overhead plus per-byte time (CostModel). The link also meters
+// for WireNs(), a per-op overhead plus per-byte time (CostModel). Occupy
+// returns the op's wire slot and keeps nothing per op. The link also meters
 // bandwidth into time buckets for the Fig. 12 bandwidth plots.
 #ifndef DILOS_SRC_RDMA_LINK_H_
 #define DILOS_SRC_RDMA_LINK_H_
@@ -51,29 +52,38 @@ class BandwidthMeter {
   uint64_t total_ = 0;
 };
 
+// One op's turn on the wire: its serialization starts at `start_ns` (the
+// issue time plus any queueing) and ends at `done_ns`.
+struct WireSlot {
+  uint64_t start_ns = 0;
+  uint64_t done_ns = 0;
+};
+
 class Link {
  public:
+  // Extra serialization per scatter/gather segment beyond the first.
+  static constexpr uint32_t kSegmentNs = 40;
+
   explicit Link(const CostModel& cost) : cost_(cost) {}
 
-  // Serializes an op of `bytes` payload across `nsegs` segments issued at
-  // `issue_ns`; returns the wire-completion time. The link is full duplex:
-  // reads (memory node -> compute, RX) and writes (TX) occupy independent
-  // directions, as on the paper's 100 GbE RoCE link.
-  uint64_t Occupy(uint64_t issue_ns, uint64_t bytes, uint32_t nsegs, bool is_write) {
-    uint64_t& busy = is_write ? tx_busy_until_ns_ : rx_busy_until_ns_;
-    uint64_t start = issue_ns > busy ? issue_ns : busy;
-    uint64_t wire = cost_.link_per_op_ns +
-                    static_cast<uint64_t>(cost_.link_per_byte_ns * static_cast<double>(bytes)) +
-                    static_cast<uint64_t>(nsegs > 1 ? (nsegs - 1) * 40 : 0);
-    busy = start + wire;
-    (is_write ? tx_ : rx_).Add(start, bytes);
-    last_queue_ns_ = start - issue_ns;
-    return busy;
+  // Time an op of `bytes` payload across `nsegs` segments holds the wire.
+  uint64_t WireNs(uint64_t bytes, uint32_t nsegs) const {
+    return cost_.link_per_op_ns +
+           static_cast<uint64_t>(cost_.link_per_byte_ns * static_cast<double>(bytes)) +
+           static_cast<uint64_t>(nsegs > 1 ? (nsegs - 1) * kSegmentNs : 0);
   }
 
-  // FIFO queueing delay of the most recent Occupy (start - issue). Read by
-  // attribution right after a post; safe in the single-threaded simulator.
-  uint64_t last_queue_ns() const { return last_queue_ns_; }
+  // Serializes an op of `bytes` payload across `nsegs` segments issued at
+  // `issue_ns`, FIFO behind earlier ops in its direction. The link is full
+  // duplex: reads (memory node -> compute, RX) and writes (TX) occupy
+  // independent directions, as on the paper's 100 GbE RoCE link.
+  WireSlot Occupy(uint64_t issue_ns, uint64_t bytes, uint32_t nsegs, bool is_write) {
+    uint64_t& busy = is_write ? tx_busy_until_ns_ : rx_busy_until_ns_;
+    uint64_t start = issue_ns > busy ? issue_ns : busy;
+    busy = start + WireNs(bytes, nsegs);
+    (is_write ? tx_ : rx_).Add(start, bytes);
+    return {start, busy};
+  }
 
   uint64_t busy_until() const {
     return rx_busy_until_ns_ > tx_busy_until_ns_ ? rx_busy_until_ns_ : tx_busy_until_ns_;
@@ -95,7 +105,6 @@ class Link {
   CostModel cost_;
   uint64_t rx_busy_until_ns_ = 0;
   uint64_t tx_busy_until_ns_ = 0;
-  uint64_t last_queue_ns_ = 0;
   BandwidthMeter rx_;
   BandwidthMeter tx_;
 };

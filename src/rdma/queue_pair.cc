@@ -1,5 +1,6 @@
 #include "src/rdma/queue_pair.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/memnode/fault_injector.h"
@@ -7,28 +8,13 @@
 
 namespace dilos {
 
-Completion QueuePair::Fail(uint64_t wr_id, WcStatus status, uint64_t now_ns) {
-  last_wire_ = WireBreakdown{};
-  Completion c{wr_id, status, now_ns};
-  cq_.Push(c);
-  return c;
-}
-
 Completion QueuePair::Timeout(uint64_t wr_id, uint64_t now_ns) {
   // The RC transport retransmits until its timer expires, then completes
   // the WQE in error; no data moves. Subsequent ops on this QP still
   // complete in order behind the timed-out one.
-  uint64_t done = now_ns + link_->cost().rdma_op_timeout_ns;
-  if (done < last_completion_ns_) {
-    done = last_completion_ns_;
-  }
+  uint64_t done = std::max(now_ns + link_->cost().rdma_op_timeout_ns, last_completion_ns_);
   last_completion_ns_ = done;
-  // All timeout latency is "wire" for attribution: the RC retransmit timer
-  // ran on the wire, not in a scheduler lane.
-  last_wire_ = WireBreakdown{0, done - now_ns};
-  Completion c{wr_id, WcStatus::kTimeout, done};
-  cq_.Push(c);
-  return c;
+  return {wr_id, WcStatus::kTimeout, done};
 }
 
 Completion QueuePair::PostSend(const WorkRequest& wr, uint64_t now_ns) {
@@ -41,7 +27,7 @@ Completion QueuePair::PostSend(const WorkRequest& wr, uint64_t now_ns) {
     (*metrics_)->OnOp(node_, cls_, wr.opcode == RdmaOpcode::kWrite, wr.TotalBytes(),
                       ok ? c.completion_time_ns - now_ns : 0, ok,
                       c.status == WcStatus::kTimeout,
-                      wr.remote.empty() ? 0 : wr.remote[0].addr);
+                      wr.segs.empty() ? 0 : wr.segs[0].remote);
   }
   return c;
 }
@@ -55,45 +41,43 @@ Completion QueuePair::PostSendImpl(const WorkRequest& wr, uint64_t now_ns) {
   if (remote_mr_->crashed || fault.drop) {
     return Timeout(wr.wr_id, now_ns);
   }
-  if (wr.local.size() != wr.remote.size() || wr.local.empty()) {
-    return Fail(wr.wr_id, WcStatus::kLocalError, now_ns);
+  if (wr.segs.empty()) {
+    return {wr.wr_id, WcStatus::kLocalError, now_ns};
   }
   if (wr.rkey != remote_mr_->key) {
-    return Fail(wr.wr_id, WcStatus::kRemoteAccessError, now_ns);
+    return {wr.wr_id, WcStatus::kRemoteAccessError, now_ns};
   }
   // Validate and move the payload segment by segment.
   uint64_t payload_off = 0;
-  for (size_t i = 0; i < wr.local.size(); ++i) {
-    const Sge& l = wr.local[i];
-    const Sge& r = wr.remote[i];
-    if (l.length != r.length || l.length == 0) {
-      return Fail(wr.wr_id, WcStatus::kLocalError, now_ns);
+  for (const Sge& s : wr.segs) {
+    if (s.length == 0) {
+      return {wr.wr_id, WcStatus::kLocalError, now_ns};
     }
-    if (!remote_mr_->Contains(r.addr, r.length)) {
-      return Fail(wr.wr_id, WcStatus::kRemoteAccessError, now_ns);
+    if (!remote_mr_->Contains(s.remote, s.length)) {
+      return {wr.wr_id, WcStatus::kRemoteAccessError, now_ns};
     }
-    uint8_t* lp = local_->Resolve(l.addr, l.length, /*for_write=*/!is_write);
-    uint8_t* rp = remote_mr_->resolver->Resolve(r.addr, r.length, /*for_write=*/is_write);
+    uint8_t* lp = local_->Resolve(s.local, s.length, /*for_write=*/!is_write);
+    uint8_t* rp = remote_mr_->resolver->Resolve(s.remote, s.length, /*for_write=*/is_write);
     if (lp == nullptr || rp == nullptr) {
-      return Fail(wr.wr_id, WcStatus::kRemoteAccessError, now_ns);
+      return {wr.wr_id, WcStatus::kRemoteAccessError, now_ns};
     }
     if (is_write) {
-      std::memcpy(rp, lp, l.length);
+      std::memcpy(rp, lp, s.length);
     } else {
-      std::memcpy(lp, rp, l.length);
+      std::memcpy(lp, rp, s.length);
     }
     if (fault.corrupt && fault.corrupt_offset >= payload_off &&
-        fault.corrupt_offset < payload_off + l.length) {
+        fault.corrupt_offset < payload_off + s.length) {
       // Injected wire corruption lands on the destination side: the stored
       // bytes for a write, the local buffer for a read.
       uint8_t* victim = (is_write ? rp : lp) + (fault.corrupt_offset - payload_off);
       *victim ^= fault.corrupt_mask;
     }
-    payload_off += l.length;
+    payload_off += s.length;
   }
 
   uint64_t bytes = wr.TotalBytes();
-  auto nsegs = static_cast<uint32_t>(wr.local.size());
+  auto nsegs = static_cast<uint32_t>(wr.segs.size());
   uint64_t fabric = is_write ? link_->cost().WriteLatencyNs(bytes, nsegs)
                              : link_->cost().ReadLatencyNs(bytes, nsegs);
   if (fault.delay_factor > 1.0) {
@@ -105,55 +89,21 @@ Completion QueuePair::PostSendImpl(const WorkRequest& wr, uint64_t now_ns) {
   // scheduler installed (multi-tenant fair share), the scheduler decides when
   // this op's serialization slot starts. Same double-pointer pattern as
   // metrics_, so a scheduler installed after QP creation is still honored.
-  uint64_t wire_done;
-  uint64_t queue_ns;
-  if (sched_ != nullptr && *sched_ != nullptr) {
-    wire_done = (*sched_)->Occupy(*link_, node_, cls_,
-                                  wr.remote.empty() ? 0 : wr.remote[0].addr, now_ns,
-                                  bytes, nsegs, is_write);
-    queue_ns = (*sched_)->last_queue_ns();
-  } else {
-    wire_done = link_->Occupy(now_ns, bytes, nsegs, is_write);
-    queue_ns = link_->last_queue_ns();
-  }
-  uint64_t done = now_ns + fabric;
-  if (wire_done > done) {
-    done = wire_done;
-  }
-  if (done < last_completion_ns_) {
-    done = last_completion_ns_;  // RC in-order completion.
-  }
+  WireSlot slot = sched_ != nullptr && *sched_ != nullptr
+                      ? (*sched_)->Occupy(*link_, node_, cls_, wr.segs[0].remote, now_ns,
+                                          bytes, nsegs, is_write)
+                      : link_->Occupy(now_ns, bytes, nsegs, is_write);
+  // RC in-order completion: never before an earlier op on this QP.
+  uint64_t done = std::max({now_ns + fabric, slot.done_ns, last_completion_ns_});
   last_completion_ns_ = done;
-  // Lane wait is capped at the op's total latency: when fabric propagation
+  // Queueing is capped at the op's total latency: when fabric propagation
   // exceeds wire availability the queueing was hidden, not on the path.
-  uint64_t total = done - now_ns;
-  uint64_t lane = queue_ns < total ? queue_ns : total;
-  last_wire_ = WireBreakdown{lane, total - lane};
-  Completion c{wr.wr_id, WcStatus::kSuccess, done};
-  cq_.Push(c);
-  return c;
+  return {wr.wr_id, WcStatus::kSuccess, done, std::min(slot.start_ns - now_ns, done - now_ns)};
 }
 
-Completion QueuePair::PostRead(uint64_t wr_id, uint64_t local_addr, uint64_t remote_addr,
-                               uint32_t len, uint64_t now_ns) {
-  WorkRequest wr;
-  wr.wr_id = wr_id;
-  wr.opcode = RdmaOpcode::kRead;
-  wr.local.push_back({local_addr, len});
-  wr.remote.push_back({remote_addr, len});
-  wr.rkey = remote_mr_->key;
-  return PostSend(wr, now_ns);
-}
-
-Completion QueuePair::PostWrite(uint64_t wr_id, uint64_t local_addr, uint64_t remote_addr,
-                                uint32_t len, uint64_t now_ns) {
-  WorkRequest wr;
-  wr.wr_id = wr_id;
-  wr.opcode = RdmaOpcode::kWrite;
-  wr.local.push_back({local_addr, len});
-  wr.remote.push_back({remote_addr, len});
-  wr.rkey = remote_mr_->key;
-  return PostSend(wr, now_ns);
+Completion QueuePair::PostOne(RdmaOpcode opcode, uint64_t wr_id, uint64_t local_addr,
+                              uint64_t remote_addr, uint32_t len, uint64_t now_ns) {
+  return PostSend({wr_id, opcode, {{local_addr, remote_addr, len}}, remote_mr_->key}, now_ns);
 }
 
 }  // namespace dilos

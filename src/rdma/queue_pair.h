@@ -1,21 +1,21 @@
-// Reliable-connected queue pair + completion queue.
+// Reliable-connected queue pair.
 //
 // DiLOS' communication module creates one QP per (core, module) so that
 // fault-handler traffic is never head-of-line blocked behind prefetcher or
 // reclaimer traffic (Sec. 4.5). In the model each QP issues ops onto the
-// shared Link; data movement happens eagerly but the completion carries the
-// simulated arrival timestamp.
+// shared Link; data movement happens eagerly and the post returns the
+// completion, stamped with the simulated arrival time. Nothing is kept per
+// op: the fault pipeline charges Atlas-style coalesced completion polling as
+// a cost (cq_poll_ns) instead of draining a stored queue.
 #ifndef DILOS_SRC_RDMA_QUEUE_PAIR_H_
 #define DILOS_SRC_RDMA_QUEUE_PAIR_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <optional>
 
 #include "src/rdma/link.h"
 #include "src/rdma/memory_region.h"
 #include "src/rdma/verbs.h"
-#include "src/sim/clock.h"
 #include "src/telemetry/metrics.h"
 
 namespace dilos {
@@ -23,43 +23,10 @@ namespace dilos {
 class FaultInjector;   // src/memnode/fault_injector.h
 class LinkScheduler;   // src/rdma/sched.h
 
+// Always empty: PostSend returns each completion and queues none.
 class CompletionQueue {
  public:
-  void Push(Completion c) {
-    // RC QPs complete in order; clamp to enforce monotonicity.
-    if (!queue_.empty() && c.completion_time_ns < queue_.back().completion_time_ns) {
-      c.completion_time_ns = queue_.back().completion_time_ns;
-    }
-    queue_.push_back(c);
-  }
-
-  // Non-blocking poll: returns the next completion if it has arrived by
-  // `now_ns`.
-  std::optional<Completion> Poll(uint64_t now_ns) {
-    if (queue_.empty() || queue_.front().completion_time_ns > now_ns) {
-      return std::nullopt;
-    }
-    Completion c = queue_.front();
-    queue_.pop_front();
-    return c;
-  }
-
-  // Blocking poll: waits (advancing `clock`) for the next completion.
-  std::optional<Completion> BlockingPoll(Clock& clock) {
-    if (queue_.empty()) {
-      return std::nullopt;
-    }
-    Completion c = queue_.front();
-    queue_.pop_front();
-    clock.AdvanceTo(c.completion_time_ns);
-    return c;
-  }
-
-  size_t outstanding() const { return queue_.size(); }
-  bool empty() const { return queue_.empty(); }
-
- private:
-  std::deque<Completion> queue_;
+  size_t outstanding() const { return 0; }
 };
 
 class QueuePair {
@@ -88,42 +55,39 @@ class QueuePair {
         sched_(sched) {}
 
   // Posts a one-sided work request at simulated time `now_ns`. Data movement
-  // is performed immediately; the completion time reflects fabric latency
-  // plus wire serialization. Returns the completion (also pushed to cq()).
+  // is performed immediately; the returned completion carries the time the
+  // op lands (fabric latency plus wire serialization) and its wire queueing.
   // This is the one choke point every RDMA op in the repo passes through:
   // per-(node, QP class) telemetry hangs off it (src/telemetry/metrics.h).
   Completion PostSend(const WorkRequest& wr, uint64_t now_ns);
 
-  // How the most recent PostSend's latency split between waiting for the
-  // wire (scheduler lane / FIFO queueing) and everything else (fabric
-  // propagation + serialization). Valid until the next post on this QP;
-  // read-after-post is safe in the single-threaded simulator. Fault
-  // attribution splits its kLaneWait / kWire phases on this.
-  struct WireBreakdown {
-    uint64_t lane_ns = 0;  // Queueing before the op's wire slot started.
-    uint64_t wire_ns = 0;  // Remaining post-to-completion time.
-  };
-  const WireBreakdown& last_wire_breakdown() const { return last_wire_; }
-
   int node() const { return node_; }
   QpClass qp_class() const { return cls_; }
 
-  CompletionQueue& cq() { return cq_; }
+  // Empty by construction; kept for callers that report retained completions.
+  CompletionQueue cq() const { return {}; }
   Link* link() { return link_; }
   // rkey of the connected remote region (the connection handshake result).
   uint32_t remote_rkey() const { return remote_mr_->key; }
 
   // Convenience: single-segment page-sized or subpage ops.
   Completion PostRead(uint64_t wr_id, uint64_t local_addr, uint64_t remote_addr, uint32_t len,
-                      uint64_t now_ns);
+                      uint64_t now_ns) {
+    return PostOne(RdmaOpcode::kRead, wr_id, local_addr, remote_addr, len, now_ns);
+  }
   Completion PostWrite(uint64_t wr_id, uint64_t local_addr, uint64_t remote_addr, uint32_t len,
-                       uint64_t now_ns);
+                       uint64_t now_ns) {
+    return PostOne(RdmaOpcode::kWrite, wr_id, local_addr, remote_addr, len, now_ns);
+  }
 
  private:
-  Completion Fail(uint64_t wr_id, WcStatus status, uint64_t now_ns);
   // RC retransmit-exhausted path, shared by crashes and injected drops.
   Completion Timeout(uint64_t wr_id, uint64_t now_ns);
   Completion PostSendImpl(const WorkRequest& wr, uint64_t now_ns);
+  // The body of PostRead and PostWrite: one segment toward the connected
+  // region.
+  Completion PostOne(RdmaOpcode opcode, uint64_t wr_id, uint64_t local_addr,
+                     uint64_t remote_addr, uint32_t len, uint64_t now_ns);
 
   Link* link_;
   AddressResolver* local_;
@@ -133,8 +97,6 @@ class QueuePair {
   QpClass cls_ = QpClass::kOther;
   MetricsRegistry* const* metrics_ = nullptr;  // Fabric's registry slot.
   LinkScheduler* const* sched_ = nullptr;      // Fabric's wire-scheduler slot.
-  WireBreakdown last_wire_;
-  CompletionQueue cq_;
   // RC QPs complete strictly in post order: a READ posted after a WRITE on
   // the same QP cannot complete before it. This is the head-of-line
   // blocking a single shared (kernel swap) queue suffers, and why DiLOS

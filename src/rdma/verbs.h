@@ -1,5 +1,5 @@
 // Simulated one-sided RDMA verbs: the request/completion vocabulary shared by
-// queue pairs, completion queues, and memory regions.
+// queue pairs and memory regions.
 //
 // The model follows the subset of ibverbs the paper's systems use: reliable
 // connected QPs, one-sided READ/WRITE, scatter/gather lists, rkey-protected
@@ -27,36 +27,43 @@ enum class WcStatus : uint8_t {
   kTimeout,  // RC transport retries exhausted (remote node unreachable).
 };
 
-// One scatter/gather element. On the remote side a segment must not cross a
-// 4 KB page boundary (the memory node registers page-granular backing).
+// One scatter/gather element: `length` bytes between compute-node buffer
+// address `local` and memory-node address `remote`. The remote side must not
+// cross a 4 KB page boundary (the memory node registers page-granular
+// backing).
 struct Sge {
-  uint64_t addr = 0;
+  uint64_t local = 0;
+  uint64_t remote = 0;
   uint32_t length = 0;
 };
 
 struct WorkRequest {
   uint64_t wr_id = 0;
   RdmaOpcode opcode = RdmaOpcode::kRead;
-  // Local segments (compute-node buffers) and matching remote segments.
-  // Segment i on the local side pairs with segment i on the remote side;
-  // lengths must match element-wise.
-  std::vector<Sge> local;
-  std::vector<Sge> remote;
+  std::vector<Sge> segs;
   uint32_t rkey = 0;
 
   uint64_t TotalBytes() const {
     uint64_t n = 0;
-    for (const Sge& s : local) {
+    for (const Sge& s : segs) {
       n += s.length;
     }
     return n;
   }
 };
 
+// Everything about one posted op. The simulator fixes an op's timing when it
+// is posted, so the post returns its completion and keeps no copy.
 struct Completion {
   uint64_t wr_id = 0;
   WcStatus status = WcStatus::kSuccess;
   uint64_t completion_time_ns = 0;
+  // How long the op waited for its wire slot (scheduler lane or FIFO
+  // queueing), capped at its post-to-completion latency; the rest of that
+  // latency is fabric propagation and serialization. 0 for an op that never
+  // reached the wire (timeout, malformed request). Fault attribution splits
+  // its lane-wait and wire phases on this.
+  uint64_t queue_ns = 0;
 };
 
 }  // namespace dilos

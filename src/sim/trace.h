@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/sim/name_table.h"
+#include "src/sim/ring.h"
 
 namespace dilos {
 
@@ -177,11 +178,9 @@ struct SpanRecord {
 
 class Tracer {
  public:
-  explicit Tracer(size_t capacity = 0) : capacity_(capacity) {
-    ring_.reserve(capacity);
-  }
+  explicit Tracer(size_t capacity = 0) : ring_(capacity) {}
 
-  bool enabled() const { return capacity_ != 0; }
+  bool enabled() const { return ring_.capacity() != 0; }
 
   void set_sink(TraceSink* sink) { sink_ = sink; }
 
@@ -189,36 +188,18 @@ class Tracer {
     if (sink_ != nullptr) {
       sink_->OnTrace({time_ns, event, page_va, detail});
     }
-    if (capacity_ == 0) {
-      return;
-    }
-    if (ring_.size() < capacity_) {
-      ring_.push_back({time_ns, event, page_va, detail});
-    } else {
-      ring_[next_ % capacity_] = {time_ns, event, page_va, detail};
-    }
-    ++next_;
+    ring_.Push({time_ns, event, page_va, detail});
   }
 
   // Events in chronological order (oldest surviving first).
-  std::vector<TraceRecord> Snapshot() const {
-    std::vector<TraceRecord> out;
-    if (capacity_ == 0 || ring_.empty()) {
-      return out;
-    }
-    size_t start = next_ > capacity_ ? next_ % capacity_ : 0;
-    for (size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(start + i) % ring_.size()]);
-    }
-    return out;
-  }
+  std::vector<TraceRecord> Snapshot() const { return ring_.Snapshot(); }
 
-  uint64_t total_recorded() const { return next_; }
+  uint64_t total_recorded() const { return ring_.pushed(); }
 
   // Count of a given event among surviving records.
   uint64_t Count(TraceEvent e) const {
     uint64_t n = 0;
-    for (const TraceRecord& r : ring_) {
+    for (const TraceRecord& r : ring_.Snapshot()) {
       if (r.event == e) {
         ++n;
       }
@@ -243,18 +224,15 @@ class Tracer {
 
   // --- Causal spans ----------------------------------------------------------
 
-  void EnableSpans(size_t capacity) {
-    span_capacity_ = capacity;
-    spans_.reserve(capacity);
-  }
-  bool spans_enabled() const { return span_capacity_ != 0; }
+  void EnableSpans(size_t capacity) { spans_ = Ring<SpanRecord>(capacity); }
+  bool spans_enabled() const { return spans_.capacity() != 0; }
 
   // Opens a span under the innermost still-open one (the sim is single
   // threaded, so lexical nesting IS causal nesting). Returns the span id,
   // or 0 when spans are disabled — EndSpan(0, ...) is a no-op, so call
   // sites need no guards of their own.
   uint32_t BeginSpan(SpanKind kind, uint64_t now_ns, uint64_t page_va, uint32_t detail = 0) {
-    if (span_capacity_ == 0) {
+    if (!spans_enabled()) {
       return 0;
     }
     SpanRecord r;
@@ -279,28 +257,18 @@ class Tracer {
         r.end_ns = now_ns;
         open_.erase(open_.begin() + static_cast<ptrdiff_t>(i));
         current_parent_ = r.parent;
-        PushSpan(r);
+        spans_.Push(r);
         return;
       }
     }
   }
 
   uint32_t current_parent() const { return current_parent_; }
-  uint64_t total_spans() const { return span_next_; }
+  uint64_t total_spans() const { return spans_.pushed(); }
   size_t open_spans() const { return open_.size(); }
 
   // Closed spans in completion order (oldest surviving first).
-  std::vector<SpanRecord> SpanSnapshot() const {
-    std::vector<SpanRecord> out;
-    if (span_capacity_ == 0 || spans_.empty()) {
-      return out;
-    }
-    size_t start = span_next_ > span_capacity_ ? span_next_ % span_capacity_ : 0;
-    for (size_t i = 0; i < spans_.size(); ++i) {
-      out.push_back(spans_[(start + i) % spans_.size()]);
-    }
-    return out;
-  }
+  std::vector<SpanRecord> SpanSnapshot() const { return spans_.Snapshot(); }
 
   // Chrome trace-event JSON (the format Perfetto and chrome://tracing load):
   // closed spans become complete events (ph:"X", ts/dur in microseconds) and
@@ -340,24 +308,11 @@ class Tracer {
   }
 
  private:
-  void PushSpan(const SpanRecord& r) {
-    if (spans_.size() < span_capacity_) {
-      spans_.push_back(r);
-    } else {
-      spans_[span_next_ % span_capacity_] = r;
-    }
-    ++span_next_;
-  }
-
-  size_t capacity_;
-  std::vector<TraceRecord> ring_;
-  uint64_t next_ = 0;
+  Ring<TraceRecord> ring_;
   TraceSink* sink_ = nullptr;
 
-  size_t span_capacity_ = 0;
-  std::vector<SpanRecord> spans_;  // Closed spans, ring ordered by completion.
-  std::vector<SpanRecord> open_;   // Begun, not yet ended (small; LIFO use).
-  uint64_t span_next_ = 0;
+  Ring<SpanRecord> spans_;        // Closed spans, ring ordered by completion.
+  std::vector<SpanRecord> open_;  // Begun, not yet ended (small; LIFO use).
   uint32_t span_seq_ = 0;
   uint32_t current_parent_ = 0;
 };

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/ring.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
 #include "src/telemetry/metrics.h"
@@ -29,21 +30,9 @@ class FlightRecorder : public TraceSink {
   // `path` empty => dump to stderr. The last dump is always kept in
   // last_dump() regardless, so tests never need to read files.
   FlightRecorder(size_t capacity, std::string path, uint64_t min_interval_ns)
-      : capacity_(capacity), path_(std::move(path)), min_interval_ns_(min_interval_ns) {
-    ring_.reserve(capacity_);
-  }
+      : ring_(capacity), path_(std::move(path)), min_interval_ns_(min_interval_ns) {}
 
-  void OnTrace(const TraceRecord& r) override {
-    if (capacity_ == 0) {
-      return;
-    }
-    if (ring_.size() < capacity_) {
-      ring_.push_back(r);
-    } else {
-      ring_[next_ % capacity_] = r;
-    }
-    ++next_;
-  }
+  void OnTrace(const TraceRecord& r) override { ring_.Push(r); }
 
   // Checks the anomaly counters against their high-water marks and dumps if
   // any moved. Called from the runtime's background tick — cost when healthy
@@ -83,19 +72,9 @@ class FlightRecorder : public TraceSink {
   }
 
   // Events in chronological order (oldest surviving first).
-  std::vector<TraceRecord> Snapshot() const {
-    std::vector<TraceRecord> out;
-    if (ring_.empty()) {
-      return out;
-    }
-    size_t start = next_ > capacity_ ? next_ % capacity_ : 0;
-    for (size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(start + i) % ring_.size()]);
-    }
-    return out;
-  }
+  std::vector<TraceRecord> Snapshot() const { return ring_.Snapshot(); }
 
-  uint64_t total_recorded() const { return next_; }
+  uint64_t total_recorded() const { return ring_.pushed(); }
   uint64_t dumps() const { return dumps_; }
   const std::string& last_dump() const { return last_dump_; }
 
@@ -126,7 +105,7 @@ class FlightRecorder : public TraceSink {
     out += line;
     auto snap = Snapshot();
     std::snprintf(line, sizeof(line), "--- last %zu events (of %llu recorded) ---\n",
-                  snap.size(), static_cast<unsigned long long>(next_));
+                  snap.size(), static_cast<unsigned long long>(ring_.pushed()));
     out += line;
     for (const TraceRecord& r : snap) {
       std::snprintf(line, sizeof(line), "%12llu ns  %-18s page=0x%llx detail=%u\n",
@@ -162,11 +141,9 @@ class FlightRecorder : public TraceSink {
     std::fclose(f);
   }
 
-  size_t capacity_;
+  Ring<TraceRecord> ring_;
   std::string path_;
   uint64_t min_interval_ns_;
-  std::vector<TraceRecord> ring_;
-  uint64_t next_ = 0;
   uint64_t watermark_ = 0;
   uint64_t last_dump_ns_ = 0;
   uint64_t dumps_ = 0;

@@ -43,21 +43,15 @@ class FairLinkScheduler : public LinkScheduler {
   FairLinkScheduler(int num_nodes, const TenantRegistry* tenants)
       : tenants_(tenants), nodes_(static_cast<size_t>(num_nodes)) {}
 
-  uint64_t Occupy(Link& link, int node, QpClass cls, uint64_t remote_addr,
+  WireSlot Occupy(Link& link, int node, QpClass cls, uint64_t remote_addr,
                   uint64_t issue_ns, uint64_t bytes, uint32_t nsegs,
                   bool is_write) override {
     if (node < 0 || node >= static_cast<int>(nodes_.size())) {
-      uint64_t done = link.Occupy(issue_ns, bytes, nsegs, is_write);
-      last_queue_ns_ = link.last_queue_ns();
-      return done;
+      return link.Occupy(issue_ns, bytes, nsegs, is_write);
     }
-    // Mirror Link::Occupy's wire formula exactly — with the scheduler
-    // installed the link's own busy-until bookkeeping is bypassed.
-    const CostModel& cost = link.cost();
-    uint64_t wire =
-        cost.link_per_op_ns +
-        static_cast<uint64_t>(cost.link_per_byte_ns * static_cast<double>(bytes)) +
-        static_cast<uint64_t>(nsegs > 1 ? (nsegs - 1) * 40 : 0);
+    // With the scheduler installed the link's own busy-until bookkeeping is
+    // bypassed; only its wire time is used.
+    uint64_t wire = link.WireNs(bytes, nsegs);
 
     int band = QpClassBand(cls);
     int tenant = tenants_ != nullptr ? tenants_->TenantOfAddr(remote_addr) : -1;
@@ -84,18 +78,16 @@ class FairLinkScheduler : public LinkScheduler {
     uint64_t svc = wire * (others + mine) / mine;
 
     deferred_ns_ += start - issue_ns;
-    last_queue_ns_ = start - issue_ns;
     ++ops_[band];
     lane.busy = start + svc;
     bs.frontier = std::max(bs.frontier, lane.busy);
     (is_write ? link.mutable_tx() : link.mutable_rx()).Add(start, bytes);
-    return lane.busy;
+    return {start, lane.busy};
   }
 
   // Introspection for tests and benches.
   uint64_t ops(int band) const { return ops_[band]; }
   uint64_t deferred_ns() const { return deferred_ns_; }
-  uint64_t last_queue_ns() const override { return last_queue_ns_; }
 
  private:
   struct Lane {
@@ -135,7 +127,6 @@ class FairLinkScheduler : public LinkScheduler {
   std::vector<Node> nodes_;
   uint64_t ops_[kBands] = {0, 0, 0};
   uint64_t deferred_ns_ = 0;
-  uint64_t last_queue_ns_ = 0;
 };
 
 }  // namespace dilos

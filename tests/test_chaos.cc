@@ -102,7 +102,7 @@ RunFingerprint FingerprintRun(uint64_t seed) {
   f.flips = fabric.injector().injected_bit_flips();
   f.mismatches = rt.stats().checksum_mismatches;
   f.retries = rt.stats().fetch_retries;
-  f.end_ns = rt.MaxTimeNs();
+  f.end_ns = rt.MaxWorkerTimeNs();
   return f;
 }
 

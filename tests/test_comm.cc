@@ -72,10 +72,10 @@ TEST(LinkDuplex, ReadsAndWritesUseIndependentDirections) {
   // Saturate TX with writes.
   uint64_t tx_end = 0;
   for (int i = 0; i < 10; ++i) {
-    tx_end = link.Occupy(0, 4096, 1, /*is_write=*/true);
+    tx_end = link.Occupy(0, 4096, 1, /*is_write=*/true).done_ns;
   }
   // An RX read issued at t=0 is not delayed by TX traffic.
-  uint64_t rx_end = link.Occupy(0, 4096, 1, /*is_write=*/false);
+  uint64_t rx_end = link.Occupy(0, 4096, 1, /*is_write=*/false).done_ns;
   EXPECT_LT(rx_end, tx_end);
   EXPECT_EQ(link.rx().total_bytes(), 4096u);
   EXPECT_EQ(link.tx().total_bytes(), 10u * 4096);
@@ -84,8 +84,8 @@ TEST(LinkDuplex, ReadsAndWritesUseIndependentDirections) {
 TEST(LinkDuplex, SameDirectionSerializes) {
   CostModel cost = CostModel::Default();
   Link link(cost);
-  uint64_t first = link.Occupy(0, 4096, 1, false);
-  uint64_t second = link.Occupy(0, 4096, 1, false);
+  uint64_t first = link.Occupy(0, 4096, 1, false).done_ns;
+  uint64_t second = link.Occupy(0, 4096, 1, false).done_ns;
   EXPECT_GT(second, first);
 }
 

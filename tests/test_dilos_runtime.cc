@@ -208,7 +208,7 @@ TEST(DilosRuntime, MultiCoreClocksAreIndependent) {
   EXPECT_EQ(rt.clock(1).now(), 0u);
   rt.Write<uint8_t>(region + 4096, 1, /*core=*/1);
   EXPECT_GT(rt.clock(1).now(), 0u);
-  EXPECT_EQ(rt.MaxTimeNs(), std::max(rt.clock(0).now(), rt.clock(1).now()));
+  EXPECT_EQ(rt.MaxWorkerTimeNs(), std::max(rt.clock(0).now(), rt.clock(1).now()));
 }
 
 TEST(DilosRuntime, PageCrossingAccessWorks) {

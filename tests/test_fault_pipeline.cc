@@ -168,7 +168,7 @@ SweepOutcome RunSweep(uint32_t depth, MakePf make_prefetcher, uint64_t pages = 2
   o.minor = st.minor_faults - minor0;
   o.zero = st.zero_fill_faults - zero0;
   o.elapsed = rt.clock(0).now() - t0;
-  o.end_ns = rt.MaxTimeNs();
+  o.end_ns = rt.MaxWorkerTimeNs();
   EXPECT_EQ(st.fault_inflight, 0u) << "quiesce must drain every parked fault";
   return o;
 }

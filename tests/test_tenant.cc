@@ -149,7 +149,7 @@ uint64_t SoloWireNs(uint64_t bytes) {
   Link link(cost);
   TenantRegistry reg;
   FairLinkScheduler sched(1, &reg);
-  return sched.Occupy(link, 0, QpClass::kFault, 0, 0, bytes, 1, false);
+  return sched.Occupy(link, 0, QpClass::kFault, 0, 0, bytes, 1, false).done_ns;
 }
 
 TEST(FairScheduler, StrictBandsDemandBypassesBulkBacklog) {
@@ -161,19 +161,20 @@ TEST(FairScheduler, StrictBandsDemandBypassesBulkBacklog) {
   // Queue a deep prefetch backlog (band 1), all issued at t=0.
   uint64_t pf_done = 0;
   for (int i = 0; i < 8; ++i) {
-    pf_done = sched.Occupy(link, 0, QpClass::kPrefetch, 0, 0, kPageSize, 1, false);
+    pf_done = sched.Occupy(link, 0, QpClass::kPrefetch, 0, 0, kPageSize, 1, false).done_ns;
   }
   // A demand fault issued mid-backlog starts at its own issue time — it does
   // not queue behind the bulk band.
-  uint64_t fault_done = sched.Occupy(link, 0, QpClass::kFault, 0, 1000, kPageSize, 1, false);
-  EXPECT_LT(fault_done, pf_done);
+  WireSlot fault = sched.Occupy(link, 0, QpClass::kFault, 0, 1000, kPageSize, 1, false);
+  EXPECT_EQ(fault.start_ns, 1000u);
+  EXPECT_LT(fault.done_ns, pf_done);
   // A maintenance op (band 2) waits behind both higher bands' frontiers.
-  uint64_t maint_done =
-      sched.Occupy(link, 0, QpClass::kCleaner, 0, 0, kPageSize, 1, true);
+  sched.Occupy(link, 0, QpClass::kCleaner, 0, 0, kPageSize, 1, true);
   // Writes are the other direction; re-post a band-2 read to hit the same lane.
-  maint_done = sched.Occupy(link, 0, QpClass::kProbe, 0, 0, 64, 1, false);
-  EXPECT_GE(maint_done, pf_done);
-  EXPECT_GE(maint_done, fault_done);
+  WireSlot maint = sched.Occupy(link, 0, QpClass::kProbe, 0, 0, 64, 1, false);
+  EXPECT_GE(maint.start_ns, pf_done);
+  EXPECT_GE(maint.done_ns, pf_done);
+  EXPECT_GE(maint.done_ns, fault.done_ns);
   EXPECT_EQ(sched.ops(0), 1u);
   EXPECT_EQ(sched.ops(1), 8u);
   EXPECT_EQ(sched.ops(2), 2u);
@@ -194,11 +195,12 @@ TEST(FairScheduler, PerTenantLanesBoundVictimDelayToFairShare) {
   // Tenant a floods 32 demand faults at t=0: its own lane serializes them.
   uint64_t a_done = 0;
   for (int i = 0; i < 32; ++i) {
-    a_done = sched.Occupy(link, 0, QpClass::kFault, base_a, 0, kPageSize, 1, false);
+    a_done = sched.Occupy(link, 0, QpClass::kFault, base_a, 0, kPageSize, 1, false).done_ns;
   }
   // Tenant b's single fault at t=0 pays at most its weighted share of the
   // contention (2x the solo wire time for equal weights), not a's backlog.
-  uint64_t b_done = sched.Occupy(link, 0, QpClass::kFault, base_b, 0, kPageSize, 1, false);
+  uint64_t b_done =
+      sched.Occupy(link, 0, QpClass::kFault, base_b, 0, kPageSize, 1, false).done_ns;
   uint64_t solo = SoloWireNs(kPageSize);
   EXPECT_LE(b_done, 2 * solo + solo / 4);
   EXPECT_LT(4 * b_done, a_done);
@@ -224,7 +226,7 @@ TEST(FairScheduler, WeightsSplitContentionProportionally) {
     for (int i = 0; i < 16; ++i) {
       sched.Occupy(link, 0, QpClass::kFault, base_a, 0, kPageSize, 1, false);
     }
-    return sched.Occupy(link, 0, QpClass::kFault, base_p, 0, kPageSize, 1, false);
+    return sched.Occupy(link, 0, QpClass::kFault, base_p, 0, kPageSize, 1, false).done_ns;
   };
   uint64_t heavy_done = probe(3);
   uint64_t light_done = probe(1);
