@@ -14,28 +14,54 @@ PageManager::PageManager(FramePool& pool, PageTable& pt, ShardRouter& router,
     : pool_(pool), pt_(pt), router_(router), stats_(stats), tracer_(tracer), cfg_(cfg),
       cost_(cost), free_target_(free_target) {}
 
+void PageManager::PushLru(uint64_t page_va, Pte pte) {
+  uint64_t seq = ++lru_seq_;
+  lru_.push_back({page_va, seq});
+  where_[page_va] = std::prev(lru_.end());
+  if (pte & kPteDirty) {
+    clean_queue_.emplace_hint(clean_queue_.end(), seq, page_va);
+  }
+}
+
+void PageManager::Unlink(LruIndex::iterator w) {
+  clean_queue_.erase(w->second->seq);
+  lru_.erase(w->second);
+  where_.erase(w);
+}
+
 void PageManager::OnMapped(uint64_t page_va) {
   auto it = where_.find(page_va);
   if (it != where_.end()) {
-    lru_.erase(it->second);
-    where_.erase(it);
+    Unlink(it);
   } else if (tenants_ != nullptr) {
     tenants_->OnResident(page_va, +1);  // Fresh residency, not an LRU refresh.
   }
-  lru_.push_back(page_va);
-  where_[page_va] = std::prev(lru_.end());
+  PushLru(page_va, *pt_.Entry(page_va, /*create=*/false));
 }
 
 void PageManager::OnUnmapped(uint64_t page_va) {
   auto it = where_.find(page_va);
   if (it != where_.end()) {
-    lru_.erase(it->second);
-    where_.erase(it);
+    Unlink(it);
     if (tenants_ != nullptr) {
       tenants_->OnResident(page_va, -1);
     }
   }
-  vector_cleaned_.erase(page_va);
+  auto vec = vector_cleaned_.find(page_va);
+  if (vec != vector_cleaned_.end()) {
+    ReleaseAction(vec->second);
+    vector_cleaned_.erase(vec);
+  }
+}
+
+void PageManager::OnAccessCleared(uint64_t page_va, Pte pte) {
+  if ((pte & kPteDirty) == 0) {
+    return;
+  }
+  auto it = where_.find(page_va);
+  if (it != where_.end()) {
+    clean_queue_.emplace(it->second->seq, page_va);
+  }
 }
 
 uint64_t PageManager::AllocActionSlot(std::vector<PageSegment> segs) {
@@ -231,7 +257,8 @@ bool PageManager::ReclaimTenantRemote(int tenant, uint64_t skip_va, uint64_t now
   // local frame is a current full copy (kLocal, clean, not action-logged) can
   // lose its remote copies losslessly — re-marking the PTE dirty makes the
   // frame authoritative again, and a later write-back re-admits it.
-  for (uint64_t va : lru_) {
+  for (const LruNode& n : lru_) {
+    uint64_t va = n.va;
     if (va == skip_va || tenants_->ChargeOwner(va) != tenant ||
         vector_cleaned_.count(va) != 0) {
       continue;
@@ -245,6 +272,7 @@ bool PageManager::ReclaimTenantRemote(int tenant, uint64_t skip_va, uint64_t now
       router_.fabric().node(node).store().Drop(va >> kPageShift);
     }
     *e |= kPteDirty;
+    clean_queue_.emplace(n.seq, va);  // Dirty again: the cleaner may take it.
     tenants_->Uncharge(va);
     tenants_->NoteReclaim(tenant);
     stats_.tenant_quota_reclaims++;
@@ -537,9 +565,8 @@ bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
   size_t limit = lru_.size() * 2 + 1;
   while (!lru_.empty() && scanned < limit) {
     ++scanned;
-    uint64_t page_va = lru_.front();
-    lru_.pop_front();
-    where_.erase(page_va);
+    uint64_t page_va = lru_.front().va;
+    Unlink(where_.find(page_va));
     Pte* e = pt_.Entry(page_va, /*create=*/false);
     if (e == nullptr || PteTagOf(*e) != PteTag::kLocal) {
       // Page vanished (unmapped); drop the stale entry. It left residency
@@ -550,15 +577,13 @@ bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
       continue;
     }
     if (page_va == pinned_va) {
-      lru_.push_back(page_va);
-      where_[page_va] = std::prev(lru_.end());
+      PushLru(page_va, *e);
       continue;
     }
     if (*e & kPteAccessed) {
       // Second chance: clear the accessed bit and rotate to the back.
       *e &= ~kPteAccessed;
-      lru_.push_back(page_va);
-      where_[page_va] = std::prev(lru_.end());
+      PushLru(page_va, *e);
       continue;
     }
     // Victim found. Offer it to the compressed tier first — a tier-resident
@@ -578,8 +603,7 @@ bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
     if (*e & kPteDirty) {
       Clean(page_va, e, now);
       if (*e & kPteDirty) {
-        lru_.push_back(page_va);
-        where_[page_va] = std::prev(lru_.end());
+        PushLru(page_va, *e);
         continue;
       }
     }
@@ -715,16 +739,24 @@ void PageManager::TierTick(uint64_t now) {
 }
 
 void PageManager::BackgroundTick(uint64_t now, uint64_t pinned_va) {
-  // Cleaner: sweep a batch of the oldest pages, writing back dirty ones so
-  // the reclaimer always finds clean victims.
+  // Cleaner: write back a batch of the oldest candidates (local, dirty, not
+  // accessed) so the reclaimer always finds clean victims. The queue holds
+  // them in LRU order; an entry that stopped being one is dropped until an
+  // admission point requeues it.
   size_t cleaned = 0;
-  for (auto it = lru_.begin(); it != lru_.end() && cleaned < kCleanBatch; ++it) {
-    Pte* e = pt_.Entry(*it, /*create=*/false);
-    if (e != nullptr && PteTagOf(*e) == PteTag::kLocal && (*e & kPteDirty) &&
-        (*e & kPteAccessed) == 0) {
-      Clean(*it, e, now);
-      ++cleaned;
+  for (auto it = clean_queue_.begin(); it != clean_queue_.end() && cleaned < kCleanBatch;) {
+    uint64_t page_va = it->second;
+    Pte* e = pt_.Entry(page_va, /*create=*/false);
+    if (e == nullptr || PteTagOf(*e) != PteTag::kLocal || (*e & kPteDirty) == 0 ||
+        (*e & kPteAccessed) != 0) {
+      it = clean_queue_.erase(it);
+      continue;
     }
+    Clean(page_va, e, now);
+    ++cleaned;
+    // A write-back no replica accepted keeps the page dirty and queued, so
+    // the next tick retries it.
+    it = (*e & kPteDirty) != 0 ? std::next(it) : clean_queue_.erase(it);
   }
   // Reclaimer: eagerly evict until the free target is met.
   size_t target = free_target_;

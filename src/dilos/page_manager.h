@@ -7,6 +7,18 @@
 // handler virtually always finds a free frame — reclamation never shows up
 // in the fault path (paper Fig. 6 shows zero reclaim time for DiLOS).
 //
+// The cleaner takes the oldest *candidates* — local, dirty and not accessed
+// pages — in LRU order. It finds them through a queue keyed by each page's
+// LRU sequence number, so a tick costs the pages it visits, not the resident
+// set. A page joins the queue wherever it can become a candidate: an LRU
+// push-back with its dirty bit set, the hit tracker clearing the accessed
+// bit of a dirty page (OnAccessCleared), and a quota reclaim re-marking a
+// page dirty. Every other site that sets the dirty bit (the Pin fast path,
+// the fault handler's exit) also sets the accessed bit, so that page becomes
+// a candidate only when the clock's second chance or the hit tracker clears
+// the bit, and both admit it then. The tick drops entries that are no
+// longer candidates.
+//
 // Guided paging: when a guide supplies per-page live segments (from the
 // allocator's bitmaps), the cleaner writes back only live bytes with one
 // vectorized RDMA write (≤ max_vector_segs segments; the paper measured a
@@ -18,6 +30,7 @@
 
 #include <cstdint>
 #include <list>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -71,8 +84,12 @@ class PageManager {
 
   // Registers a page that just became resident (most recently used).
   void OnMapped(uint64_t page_va);
-  // Drops tracking for a page unmapped outside reclamation.
+  // Drops tracking for a page unmapped outside reclamation, and releases its
+  // action-log slot if a vectored clean recorded one.
   void OnUnmapped(uint64_t page_va);
+  // The hit tracker cleared the accessed bit of resident `page_va`, leaving
+  // `pte`: a dirty page is now a cleaner candidate.
+  void OnAccessCleared(uint64_t page_va, Pte pte);
 
   // Background cleaner + reclaimer work at simulated time `now`. CPU time is
   // not charged to any application core (it runs on spare cores); write-back
@@ -111,6 +128,20 @@ class PageManager {
 
   // One clock-algorithm step; returns true if a page was evicted.
   bool EvictOne(uint64_t now, uint64_t pinned_va = UINT64_MAX);
+
+  // One resident page in LRU order. `seq` rises with every push-back, so it
+  // orders the cleaner queue exactly as the LRU list.
+  struct LruNode {
+    uint64_t va;
+    uint64_t seq;
+  };
+  using LruList = std::list<LruNode>;
+  using LruIndex = std::unordered_map<uint64_t, LruList::iterator>;
+  // Appends `page_va`, whose PTE is `pte`, at the LRU tail under a fresh
+  // sequence number; a dirty page joins the cleaner queue there.
+  void PushLru(uint64_t page_va, Pte pte);
+  // Removes a page from the LRU list, its index and the cleaner queue.
+  void Unlink(LruIndex::iterator w);
 
   // Quota admission for a full write-back of `page_va`: true when the page
   // is already charged, untenanted, within quota, or room was reclaimed
@@ -176,8 +207,13 @@ class PageManager {
   std::vector<int> reclaim_nodes_;     // Scratch for quota-reclaim replica drops.
 
   // LRU order: front = oldest. The clock hand sweeps from the front.
-  std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> where_;
+  LruList lru_;
+  LruIndex where_;
+  uint64_t lru_seq_ = 0;
+  // Cleaner queue: LRU sequence number -> page. It holds every candidate at
+  // its current sequence number, possibly beside pages that stopped being
+  // one, and never a page that left lru_.
+  std::map<uint64_t, uint64_t> clean_queue_;
 
   // Pages cleaned via a vectorized write: page_va -> action-log index whose
   // segments describe the valid bytes on the memory node.

@@ -1091,7 +1091,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         RuntimeGuideContext ctx(*this, core, clk.now());
         guide_->OnFault(ctx, vaddr, write);
       }
-      tracker_.Scan(pt_);
+      tracker_.Scan(pt_, [this](uint64_t va, Pte pte) { pm_.OnAccessCleared(va, pte); });
       clk.Advance(cost_.dilos_hit_tracker_ns);
       bd.Add(LatComp::kPrefetch, cost_.dilos_hit_tracker_ns);
       FaultInfo info{vaddr, write, /*major=*/true, tracker_.hit_ratio()};

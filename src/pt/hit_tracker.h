@@ -30,8 +30,10 @@ class HitTracker {
   }
 
   // Scans accessed bits of tracked PTEs, folds the result into the moving
-  // hit ratio, and clears both the accessed bits and the window.
-  void Scan(PageTable& pt) {
+  // hit ratio, and clears both the accessed bits and the window. Each page
+  // whose bit it clears is passed to `on_clear(va, pte)` with its new PTE.
+  template <typename OnClear>
+  void Scan(PageTable& pt, OnClear on_clear) {
     if (tracked_.empty()) {
       return;
     }
@@ -41,12 +43,16 @@ class HitTracker {
       if (e != nullptr && (*e & kPtePresent) && (*e & kPteAccessed)) {
         ++hits;
         *e &= ~kPteAccessed;
+        on_clear(va, *e);
       }
     }
     double sample = static_cast<double>(hits) / static_cast<double>(tracked_.size());
     hit_ratio_ = hit_ratio_ * (1.0 - kAlpha) + sample * kAlpha;
     ++scans_;
     tracked_.clear();
+  }
+  void Scan(PageTable& pt) {
+    Scan(pt, [](uint64_t, Pte) {});
   }
 
   double hit_ratio() const { return hit_ratio_; }

@@ -6,11 +6,12 @@
 // checksum map the way a real node keeps per-block CRCs in a metadata region
 // of the same registration). Three properties follow:
 //
-//  * Write-side ("ICRC analog"): WritePageChecked verifies the *stored*
-//    bytes against the checksum right after the write lands — the way an
-//    RNIC validates the ICRC trailer before committing a packet — and
-//    re-posts the write on mismatch. A payload bit flipped in flight on the
-//    write path therefore never becomes durable silently.
+//  * Write-side ("ICRC analog"): WritePageChecked compares the *stored*
+//    bytes with the source right after the write lands — the way an RNIC
+//    validates the ICRC trailer before committing a packet — and re-posts
+//    the write on mismatch. A payload bit flipped in flight on the write
+//    path therefore never becomes durable silently. The compare is a
+//    memcmp: exact, and it spares hashing the page a second time.
 //  * Read-side: every full-page arrival (demand fetch, prefetch, EC survivor
 //    read, repair source read, scrub read) re-hashes the received bytes and
 //    compares against the stored checksum. Computing the hash costs zero
@@ -33,18 +34,37 @@
 
 namespace dilos {
 
-// 64-bit FNV-1a-style mix over the page, hashed a word at a time — the
-// stand-in for the CRC an RNIC computes at line rate.
+// One step of a PageChecksum lane: xor in a word, multiply by an odd
+// constant, xor-shift. Each part is a bijection of `h` for a fixed `w`, and
+// the xor makes the result differ for any two words.
+inline uint64_t ChecksumStep(uint64_t h, uint64_t w) {
+  h ^= w;
+  h *= 0x100000001B3ULL;
+  return h ^ (h >> 29);
+}
+
+// 64-bit FNV-1a-style mix over the page — the stand-in for the CRC an RNIC
+// computes at line rate. Word i feeds lane i mod 4, so the four independent
+// multiply chains overlap in the pipeline (kept in scalars: an array of
+// lanes is not kept in registers at -O2), and the lanes fold together with
+// the same step. Since every step is a bijection of its lane, a change
+// confined to one 8-byte word, such as any single flipped bit, always
+// changes the result.
 inline uint64_t PageChecksum(const uint8_t* data) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (uint32_t i = 0; i < kPageSize; i += 8) {
+  auto word = [data](uint32_t i) {
     uint64_t w;
     std::memcpy(&w, data + i, 8);
-    h ^= w;
-    h *= 0x100000001B3ULL;
-    h ^= h >> 29;
+    return w;
+  };
+  constexpr uint64_t kBasis = 0xCBF29CE484222325ULL;
+  uint64_t a = kBasis, b = kBasis ^ 1, c = kBasis ^ 2, d = kBasis ^ 3;
+  for (uint32_t i = 0; i < kPageSize; i += 32) {
+    a = ChecksumStep(a, word(i));
+    b = ChecksumStep(b, word(i + 8));
+    c = ChecksumStep(c, word(i + 16));
+    d = ChecksumStep(d, word(i + 24));
   }
-  return h;
+  return ChecksumStep(ChecksumStep(ChecksumStep(a, b), c), d);
 }
 
 // Verifies `bytes` (a full page received for `page_va`) against the checksum
@@ -73,11 +93,12 @@ inline bool PageIsStale(const PageStore& store, uint64_t page_va, uint32_t expec
 // Full-page write with target-side integrity: posts the write at `issue_ns`,
 // installs the checksum (and, when `generation` is nonzero, the write
 // generation — freshness metadata travelling with the payload), and
-// verifies the bytes that actually landed — re-posting on mismatch (a wire
-// flip on the write path), up to `max_retries` times. Returns the final
-// completion; liveness failures (kTimeout etc.) are returned untouched for
-// the caller's failover logic — a dropped write installs neither checksum
-// nor generation, which is exactly what lets readers detect the laggard.
+// compares the bytes that actually landed with `data` — re-posting on
+// mismatch (a wire flip on the write path), up to `max_retries` times.
+// Returns the final completion; liveness failures (kTimeout etc.) are
+// returned untouched for the caller's failover logic — a dropped write
+// installs neither checksum nor generation, which is exactly what lets
+// readers detect the laggard.
 // If retries exhaust with the stored copy still corrupt, the (correct)
 // checksum stays installed, so every later read detects the rot and heals
 // from redundancy — metadata is never made to agree with bad bytes.
@@ -97,7 +118,7 @@ inline Completion WritePageChecked(QueuePair* qp, PageStore& store, uint64_t pag
     if (generation != 0) {
       store.SetGeneration(page, generation);
     }
-    if (PageChecksum(store.PageData(page)) == sum) {
+    if (std::memcmp(store.PageData(page), data, kPageSize) == 0) {
       return c;
     }
     stats.checksum_mismatches++;

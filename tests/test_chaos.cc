@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "src/dilos/runtime.h"
 #include "src/memnode/fault_injector.h"
 #include "src/recovery/integrity.h"
+#include "src/sim/rng.h"
 
 namespace dilos {
 namespace {
@@ -261,6 +263,79 @@ TEST(ChaosIntegrity, ScrubberRepairsLatentRotWithoutADemandRead) {
   EXPECT_EQ(PageChecksum(store.PageData(victim_va >> kPageShift)),
             store.Checksum(victim_va >> kPageShift));
   EXPECT_GT(rt.stats().scrub_pages, 0u);
+}
+
+TEST(ChaosIntegrity, PageChecksumCatchesEverySingleBitFlip) {
+  std::vector<uint8_t> random_page(kPageSize);
+  Rng rng(7);
+  for (uint8_t& b : random_page) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  std::vector<uint8_t> zero_page(kPageSize, 0);
+  for (std::vector<uint8_t>* page : {&random_page, &zero_page}) {
+    const uint64_t sum = PageChecksum(page->data());
+    uint64_t missed = 0;
+    for (uint32_t bit = 0; bit < kPageSize * 8; ++bit) {
+      (*page)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      missed += PageChecksum(page->data()) == sum ? 1 : 0;
+      (*page)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    EXPECT_EQ(missed, 0u) << (page == &zero_page ? "zero page" : "random page");
+    EXPECT_EQ(PageChecksum(page->data()), sum);
+  }
+}
+
+// One checked write of a random page to node 0 under a bit-flip plan of
+// probability `flip_p`. Reports the posts it made through `posts`.
+struct CheckedWrite {
+  Fabric fabric{CostModel::Default(), 1};
+  RuntimeStats stats;
+  std::vector<uint8_t> source = std::vector<uint8_t>(kPageSize);
+  uint64_t page_va = kFarBase + 5 * kPageSize;
+  uint64_t posts = 0;
+
+  explicit CheckedWrite(double flip_p) {
+    Rng rng(11);
+    for (uint8_t& b : source) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    FaultPlan plan;
+    plan.specs.push_back({0, FaultKind::kBitFlip, flip_p, 1.0, 0, UINT64_MAX});
+    fabric.set_fault_plan(plan);
+    uint64_t wr_id = 0;
+    Completion c = WritePageChecked(fabric.CreateQp(0), store(), page_va, source.data(),
+                                    /*issue_ns=*/0, &wr_id, stats, /*tracer=*/nullptr);
+    EXPECT_EQ(c.status, WcStatus::kSuccess);
+    posts = wr_id;  // One wr_id per post.
+  }
+  PageStore& store() { return fabric.node(0).store(); }
+  bool stored_matches() {
+    return std::memcmp(store().PageData(page_va >> kPageShift), source.data(), kPageSize) == 0;
+  }
+};
+
+TEST(ChaosIntegrity, WritePageCheckedRetriesEveryFlippedPost) {
+  // Every post flips one stored bit: the write is posted once plus the three
+  // default retries, each mismatch is counted, and the checksum of the
+  // source stays installed so every later read detects the bad copy.
+  CheckedWrite w(/*flip_p=*/1.0);
+  EXPECT_EQ(w.posts, 4u);
+  EXPECT_EQ(w.stats.checksum_write_retries, 4u);
+  EXPECT_EQ(w.stats.checksum_mismatches, 4u);
+  EXPECT_EQ(w.fabric.injector().injected_bit_flips(), 4u);
+  EXPECT_FALSE(w.stored_matches());
+  EXPECT_EQ(w.store().Checksum(w.page_va >> kPageShift), PageChecksum(w.source.data()));
+  EXPECT_FALSE(VerifyPageBytes(w.store(), w.page_va,
+                               w.store().PageData(w.page_va >> kPageShift)));
+}
+
+TEST(ChaosIntegrity, WritePageCheckedPostsOnceWithoutFlips) {
+  CheckedWrite w(/*flip_p=*/0.0);
+  EXPECT_EQ(w.posts, 1u);
+  EXPECT_EQ(w.stats.checksum_write_retries, 0u);
+  EXPECT_EQ(w.stats.checksum_mismatches, 0u);
+  EXPECT_TRUE(w.stored_matches());
+  EXPECT_EQ(w.store().Checksum(w.page_va >> kPageShift), PageChecksum(w.source.data()));
 }
 
 // -- Gray failures ------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "src/dilos/readahead.h"
 #include "src/dilos/runtime.h"
 #include "src/fastswap/fastswap.h"
+#include "src/memnode/fault_injector.h"
 #include "src/redis/dict.h"
 #include "src/redis/redis.h"
 #include "src/redis/redis_bench.h"
@@ -182,6 +183,195 @@ TEST(PageManagerUnit, ActionLogSlotsAreRecycled) {
   // Directly exercise the action log API.
   EXPECT_EQ(pm.ActionSegments(999), nullptr);
   pm.ReleaseAction(999);  // Out-of-range release is a no-op.
+}
+
+// Cleaner queue (page_manager.h): each of the next three tests fails without
+// the admission point, or the rule for refused write-backs, that it names.
+
+// Prefetches the page after each major fault's page, and nothing else.
+class NextPagePrefetcher : public Prefetcher {
+ public:
+  void OnFault(const FaultInfo& info, std::vector<uint64_t>* out) override {
+    if (info.major) {
+      out->push_back((info.vaddr & ~static_cast<uint64_t>(kPageSize - 1)) + kPageSize);
+    }
+  }
+  std::string_view name() const override { return "next-page"; }
+  std::unique_ptr<Prefetcher> Clone() const override {
+    return std::make_unique<NextPagePrefetcher>();
+  }
+};
+
+Pte PteOf(DilosRuntime& rt, uint64_t va) { return *rt.page_table().Entry(va, /*create=*/false); }
+
+// Clears the accessed bits of `pages` resident pages the way the hit
+// tracker's scan does, which makes the dirty ones cleaner candidates.
+void ClearAccessed(DilosRuntime& rt, uint64_t region, uint64_t pages) {
+  for (uint64_t p = 0; p < pages; ++p) {
+    uint64_t va = region + p * kPageSize;
+    Pte* e = rt.page_table().Entry(va, /*create=*/false);
+    *e &= ~kPteAccessed;
+    rt.page_manager().OnAccessCleared(va, *e);
+  }
+}
+
+TEST(PageManagerUnit, HitTrackerScanQueuesAWrittenPrefetchForTheSameTick) {
+  // A prefetched page the application writes is dirty and accessed, so the
+  // cleaner skips it until something clears the accessed bit. The next
+  // major fault's hit-tracker scan does, and that fault's own background
+  // tick must write the page back while it stays resident.
+  Fabric fabric;
+  DilosConfig cfg;
+  cfg.local_mem_bytes = 256 * kPageSize;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NextPagePrefetcher>());
+  // Push region `a` out by streaming a larger region through local memory,
+  // then free that one so no eviction runs below.
+  const uint64_t pages = 64;
+  uint64_t a = rt.AllocRegion(pages * kPageSize);
+  for (uint64_t p = 0; p < pages; ++p) {
+    rt.Write<uint64_t>(a + p * kPageSize, p);
+  }
+  uint64_t b = rt.AllocRegion(512 * kPageSize);
+  for (uint64_t p = 0; p < 512; ++p) {
+    rt.Write<uint64_t>(b + p * kPageSize, p);
+  }
+  rt.FreeRegion(b, 512 * kPageSize);
+  for (uint64_t p = 0; p < pages; ++p) {
+    ASSERT_EQ(PteTagOf(PteOf(rt, a + p * kPageSize)), PteTag::kRemote) << "page " << p;
+  }
+
+  const uint64_t page1 = a + kPageSize;
+  uint64_t prefetches = rt.stats().prefetch_issued;
+  ASSERT_EQ(rt.Read<uint64_t>(a), 0u);  // Major fault; prefetches page 1.
+  ASSERT_EQ(rt.stats().prefetch_issued, prefetches + 1);
+  rt.Write<uint64_t>(page1, 0xF00D);
+  ASSERT_NE(PteOf(rt, page1) & kPteDirty, 0u);
+
+  uint64_t writebacks = rt.stats().writebacks;
+  ASSERT_EQ(rt.Read<uint64_t>(a + 32 * kPageSize), 32u);  // Scans page 1.
+  Pte e = PteOf(rt, page1);
+  EXPECT_EQ(PteTagOf(e), PteTag::kLocal) << "page 1 must stay resident";
+  EXPECT_EQ(e & (kPteDirty | kPteAccessed), 0u) << "page 1 was not written back";
+  EXPECT_EQ(rt.stats().writebacks, writebacks + 1);
+  EXPECT_EQ(rt.Read<uint64_t>(page1), 0xF00Du);
+}
+
+TEST(PageManagerUnit, QuotaReclaimQueuesTheReDirtiedPageForTheNextTick) {
+  // Under kReclaimOwnColdest a write-back past the quota drops the remote
+  // copy of the tenant's coldest clean page and marks that page dirty again
+  // without touching its accessed bit. The next tick must write it back.
+  Fabric fabric;
+  DilosConfig cfg;
+  cfg.local_mem_bytes = 256 * kPageSize;
+  cfg.tenants.enabled = true;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  TenantSpec spec;
+  spec.name = "reclaimer";
+  spec.quota_pages = 4;
+  spec.policy = QuotaPolicy::kReclaimOwnColdest;
+  int t = rt.CreateTenant(spec);
+  const uint64_t pages = 5;
+  uint64_t region = rt.AllocRegion(pages * kPageSize, t);
+  for (uint64_t p = 0; p < pages; ++p) {
+    rt.Write<uint64_t>(region + p * kPageSize, p);
+  }
+  ClearAccessed(rt, region, pages);
+
+  // Pages 0-3 fill the quota; page 4 then reclaims page 0, the coldest.
+  uint64_t now = rt.clock(0).now() + 100'000;
+  rt.page_manager().BackgroundTick(now);
+  ASSERT_EQ(rt.tenants()->quota_reclaims(t), 1u);
+  for (uint64_t p = 0; p < pages; ++p) {
+    ASSERT_EQ((PteOf(rt, region + p * kPageSize) & kPteDirty) != 0, p == 0) << "page " << p;
+  }
+
+  // Freeing page 4 makes room, so page 0's write-back needs no reclaim.
+  rt.FreeRegion(region + 4 * kPageSize, kPageSize);
+  uint64_t writebacks = rt.stats().writebacks;
+  rt.page_manager().BackgroundTick(now + 100'000);
+  EXPECT_EQ(rt.stats().writebacks, writebacks + 1);
+  EXPECT_EQ(PteOf(rt, region) & kPteDirty, 0u);
+  EXPECT_EQ(rt.tenants()->ChargeOwner(region), t);
+  EXPECT_EQ(rt.tenants()->quota_reclaims(t), 1u);
+  for (uint64_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(rt.Read<uint64_t>(region + p * kPageSize), p);
+  }
+  rt.FreeRegion(region, pages * kPageSize);
+  rt.RetireTenant(t);
+}
+
+TEST(PageManagerUnit, RefusedWriteBackStaysQueuedUntilThePartitionHeals) {
+  // A write-back no replica accepts leaves the page dirty. It must stay in
+  // the cleaner queue, so the first tick after the partition lifts cleans it.
+  Fabric fabric(CostModel::Default(), 1);
+  DilosConfig cfg;
+  cfg.local_mem_bytes = 256 * kPageSize;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  const uint64_t pages = 8;
+  uint64_t region = rt.AllocRegion(pages * kPageSize);
+  for (uint64_t p = 0; p < pages; ++p) {
+    rt.Write<uint64_t>(region + p * kPageSize, p);
+  }
+  ClearAccessed(rt, region, pages);
+
+  FaultPlan plan;  // Every write toward the only node drops.
+  plan.specs.push_back({0, FaultKind::kPartitionIn, 1.0, 1.0, 0, UINT64_MAX});
+  fabric.set_fault_plan(plan);
+  uint64_t now = rt.clock(0).now() + 100'000;
+  rt.page_manager().BackgroundTick(now);
+  for (uint64_t p = 0; p < pages; ++p) {
+    ASSERT_NE(PteOf(rt, region + p * kPageSize) & kPteDirty, 0u) << "page " << p;
+  }
+
+  fabric.set_fault_plan(FaultPlan{});
+  rt.page_manager().BackgroundTick(now + 1'000'000);
+  for (uint64_t p = 0; p < pages; ++p) {
+    EXPECT_EQ(PteOf(rt, region + p * kPageSize) & kPteDirty, 0u) << "page " << p;
+    EXPECT_EQ(rt.Read<uint64_t>(region + p * kPageSize), p);
+  }
+}
+
+// Claims one 64-byte live extent per page, so every clean is vectored and
+// records an action-log slot.
+class OneExtentGuide : public Guide {
+ public:
+  bool LiveSegments(uint64_t, std::vector<PageSegment>* segs) override {
+    segs->assign({{0, 64}});
+    return true;
+  }
+};
+
+size_t ActionLogSlots(const PageManager& pm) {
+  size_t n = 0;
+  while (pm.ActionSegments(n) != nullptr) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(PageManagerUnit, FreeRegionReleasesVectorCleanedActionSlots) {
+  // A resident page a vectored clean left clean holds an action-log slot
+  // until it is evicted. Freeing its region must release the slot, or the
+  // log grows with every region written and freed.
+  Fabric fabric;
+  DilosConfig cfg;
+  cfg.local_mem_bytes = 256 * kPageSize;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  OneExtentGuide guide;
+  rt.set_guide(&guide);
+  const uint64_t pages = 512;
+  std::vector<size_t> slots;
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    uint64_t region = rt.AllocRegion(pages * kPageSize);
+    for (uint64_t p = 0; p < pages; ++p) {
+      rt.Write<uint64_t>(region + p * kPageSize, p);
+    }
+    rt.FreeRegion(region, pages * kPageSize);
+    slots.push_back(ActionLogSlots(rt.page_manager()));
+  }
+  ASSERT_GT(rt.stats().vectored_ops, 0u) << "the guide must force the vectored path";
+  EXPECT_EQ(slots.back(), slots.front()) << "the action log grew by "
+                                         << slots.back() - slots.front() << " slots";
 }
 
 // ------------------------------------------------------------------ Graph --

@@ -10,9 +10,19 @@ A surface is one deterministic program run from the build tree:
   - every example (examples/*.cpp);
   - `dilos_sim --workload=pointer-chase --local=0.25`.
 
+The repository benchmark adds six more surfaces, perfbench_<workload> and
+perfbench_<workload>_traced: `python3 perfbench/run.py --workload <workload>
+--seed 1 --seconds 0 --trace 0|1` for each workload in BENCHMARK.json, run
+from the repository root. The first one builds perfbench into .bench_build/.
+Their stdout is the run's result as one "name value" line per simulated
+metric; the host-timed metrics (HOST_TIMED_METRICS, and every name
+containing "host") are left out. Their stderr is the build output, so it
+counts only when the run fails.
+
 Surfaces are listed from the sources, so a bench whose binary is missing
-fails rather than being skipped. They run in parallel, one per CPU, each
-from a scratch working directory. Each one's stdout, stderr and
+fails rather than being skipped. They run in parallel, one per CPU, the
+build-tree ones each from a scratch working directory. Each one's stdout,
+stderr and
 exit code must match tests/golden/<name>.out, <name>.err and <name>.code
 byte for byte. A missing .err or .code file stands for empty stderr or exit
 code 0, so a clean surface has one golden file. Every mismatch prints a
@@ -31,6 +41,7 @@ import argparse
 import concurrent.futures
 import difflib
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -39,10 +50,15 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(REPO, "tests", "golden")
 HOST_TIMED = {"bench_sim_micro"}
+# perfbench metrics read from the host's wall clock or RSS. Names containing
+# "host" are host-timed too; every other metric is simulated.
+HOST_TIMED_METRICS = {"setup_s", "peak_rss_mb", "host_ops_per_s", "rss_growth_mb",
+                      "trace.overhead_ratio"}
+PERFBENCH = "perfbench"  # argv[0] of a perfbench surface: run.py, not a build-tree binary.
 
 
 def surfaces():
-    """(name, argv relative to the build dir) for every surface, by name."""
+    """(name, argv) for every surface, by name; argv[0] is relative to the build dir."""
     out = []
     for src in glob.glob(os.path.join(REPO, "bench", "bench_*.cc")):
         name = os.path.splitext(os.path.basename(src))[0]
@@ -52,6 +68,12 @@ def surfaces():
         name = os.path.splitext(os.path.basename(src))[0]
         out.append((name, ["examples/" + name]))
     out.append(("dilos_sim", ["tools/dilos_sim", "--workload=pointer-chase", "--local=0.25"]))
+    with open(os.path.join(REPO, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    for workload in workloads:
+        for trace in ("0", "1"):
+            name = "perfbench_" + workload + ("_traced" if trace == "1" else "")
+            out.append((name, [PERFBENCH, "--workload", workload, "--trace", trace]))
     return sorted(out)
 
 
@@ -61,11 +83,30 @@ def executable(build, argv):
 
 def run(build, argv):
     """(stdout, stderr, exit code) of one surface."""
+    if argv[0] == PERFBENCH:
+        return run_perfbench(argv[1:])
     with tempfile.TemporaryDirectory() as cwd:
         p = subprocess.run(
             [executable(build, argv)] + argv[1:], cwd=cwd, capture_output=True, check=False
         )
     return p.stdout, p.stderr, p.returncode
+
+
+def run_perfbench(args):
+    """Seed-1 perfbench result: its simulated metrics, one "name value" line each."""
+    p = subprocess.run(
+        [sys.executable, os.path.join(REPO, "perfbench", "run.py"), "--seed", "1",
+         "--seconds", "0"] + args,
+        cwd=REPO, capture_output=True, check=False,
+    )
+    if p.returncode != 0:
+        return p.stdout, p.stderr, p.returncode
+    result = json.loads(p.stdout.decode().splitlines()[-1])
+    lines = ["%s %s" % (key, json.dumps(result[key])) for key in ("correct", "attempted", "failed")]
+    for name, metric in sorted(result["metrics"].items()):
+        if name not in HOST_TIMED_METRICS and "host" not in name:
+            lines.append("%s %s" % (name, json.dumps(metric["value"])))
+    return ("\n".join(lines) + "\n").encode(), b"", 0
 
 
 def golden_paths(name):
@@ -105,7 +146,11 @@ def main(argv):
     args = ap.parse_args(argv[1:])
 
     todo = surfaces()
-    missing = [name for name, cmd in todo if not os.access(executable(args.build, cmd), os.X_OK)]
+    missing = [
+        name
+        for name, cmd in todo
+        if cmd[0] != PERFBENCH and not os.access(executable(args.build, cmd), os.X_OK)
+    ]
     if missing:
         print("no binary in %s for: %s; nothing was run" % (args.build, " ".join(missing)))
         return 1
