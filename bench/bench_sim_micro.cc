@@ -1,8 +1,8 @@
 // Host-side microbenchmarks (google-benchmark) of the simulator substrates
 // themselves: page-table walks, frame pool churn, the far-heap allocator,
-// and the szip codec. These measure the reproduction's own performance, not
-// simulated time — useful for keeping the simulator fast enough to run the
-// paper-scale sweeps.
+// the szip codec, the EC parity kernel and the page checksum. These measure
+// the reproduction's own performance, not simulated time — useful for
+// keeping the simulator fast enough to run the paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,6 +14,8 @@
 #include "src/dilos/runtime.h"
 #include "src/pt/frame_pool.h"
 #include "src/pt/page_table.h"
+#include "src/recovery/ec.h"
+#include "src/recovery/integrity.h"
 
 namespace dilos {
 namespace {
@@ -88,6 +90,47 @@ void BM_SzipCompress64K(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 65536);
 }
 BENCHMARK(BM_SzipCompress64K);
+
+std::vector<uint8_t> NoisePage(uint32_t seed) {
+  std::vector<uint8_t> page(kPageSize);
+  for (auto& b : page) {
+    seed = seed * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(seed >> 24);
+  }
+  return page;
+}
+
+// One page folded into parity with the Cauchy coefficient of data member 1
+// in the first parity member of EC(4, 2): the cleaner's parity RMW step.
+// portable:0 runs the kernel this CPU dispatches to (named in the label),
+// portable:1 the byte loop every other CPU runs.
+void BM_XorMulInto(benchmark::State& state) {
+  std::vector<uint8_t> src = NoisePage(1);
+  std::vector<uint8_t> dst = NoisePage(2);
+  uint8_t coef = ECCodec(4, 2).Coef(4, 1);
+  bool portable = state.range(0) != 0;
+  for (auto _ : state) {
+    if (portable) {
+      ECCodec::XorMulIntoPortable(dst.data(), src.data(), coef, kPageSize);
+    } else {
+      ECCodec::XorMulInto(dst.data(), src.data(), coef, kPageSize);
+    }
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(portable ? "portable" : ECCodec::XorMulKernel());
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kPageSize);
+}
+BENCHMARK(BM_XorMulInto)->ArgName("portable")->Arg(0)->Arg(1);
+
+void BM_PageChecksum(benchmark::State& state) {
+  std::vector<uint8_t> page = NoisePage(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PageChecksum(page.data()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kPageSize);
+}
+BENCHMARK(BM_PageChecksum);
 
 }  // namespace
 }  // namespace dilos

@@ -326,13 +326,19 @@ bool PageManager::EcOldContent(uint64_t page_va, uint8_t* out, uint64_t now) {
 
 void PageManager::EcUpdateParity(uint64_t page_va, const uint8_t* old_page,
                                  const uint8_t* new_page, uint64_t now) {
+  // Eight bytes at a time: the delta words, and their OR as the "changed" test.
   uint8_t delta[kPageSize];
-  bool changed = false;
-  for (size_t i = 0; i < kPageSize; ++i) {
-    delta[i] = old_page[i] ^ new_page[i];
-    changed = changed || delta[i] != 0;
+  uint64_t changed = 0;
+  for (size_t i = 0; i < kPageSize; i += 8) {
+    uint64_t a = 0;
+    uint64_t b = 0;
+    std::memcpy(&a, old_page + i, 8);
+    std::memcpy(&b, new_page + i, 8);
+    uint64_t d = a ^ b;
+    std::memcpy(delta + i, &d, 8);
+    changed |= d;
   }
-  if (!changed) {
+  if (changed == 0) {
     return;  // Re-clean of identical content: parity already matches.
   }
   uint64_t granule = ShardRouter::GranuleOf(page_va);
@@ -361,12 +367,12 @@ void PageManager::EcUpdateParity(uint64_t page_va, const uint8_t* old_page,
       continue;
     }
     bool healthy = VerifyPageBytes(pstore, parity_va, pbuf);
-    bool stale =
-        healthy && PageIsStale(pstore, parity_va, router_.PageGeneration(parity_va));
+    uint32_t expected_gen = router_.PageGeneration(parity_va);
+    bool stale = healthy && PageIsStale(pstore, parity_va, expected_gen);
     // Parity generations use bump-on-attempt too: the expected generation
     // rises before every RMW write, so a parity write dropped behind a
     // partition leaves that member detectably behind for the next round.
-    uint32_t pgen = router_.PageGeneration(parity_va) + 1;
+    uint32_t pgen = expected_gen + 1;
     if (!healthy || stale) {
       // Rotted (or flipped-in-flight) parity — or a verified-but-stale one
       // whose last RMW write never landed: folding the delta into it and

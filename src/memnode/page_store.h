@@ -31,26 +31,24 @@ class PageStore : public AddressResolver {
     if (off + len > kPageSize) {
       return nullptr;  // Crosses a page boundary.
     }
-    if (!for_write && pages_.count(page) == 0) {
+    auto it = pages_.find(page);
+    if (it != pages_.end()) {
+      return it->second.get() + off;
+    }
+    if (!for_write) {
       // Reads of never-written pages serve zeros without materializing, so
       // page_count() measures stored capacity (what redundancy benchmarks
       // compare), not read traffic like probes or EC survivor fan-outs.
       static const uint8_t kZeroPage[kPageSize] = {};
       return const_cast<uint8_t*>(kZeroPage) + off;
     }
-    return PageData(page) + off;
+    return Materialize(page) + off;
   }
 
   // Returns the backing bytes of `page`, materializing zeros on first use.
   uint8_t* PageData(uint64_t page) {
     auto it = pages_.find(page);
-    if (it == pages_.end()) {
-      auto mem = std::make_unique<uint8_t[]>(kPageSize);
-      uint8_t* raw = mem.get();
-      pages_.emplace(page, std::move(mem));
-      return raw;
-    }
-    return it->second.get();
+    return it == pages_.end() ? Materialize(page) : it->second.get();
   }
 
   bool Materialized(uint64_t page) const { return pages_.count(page) != 0; }
@@ -96,6 +94,14 @@ class PageStore : public AddressResolver {
   }
 
  private:
+  // Stores a zeroed page for `page`, which must not be stored yet.
+  uint8_t* Materialize(uint64_t page) {
+    auto mem = std::make_unique<uint8_t[]>(kPageSize);
+    uint8_t* raw = mem.get();
+    pages_.emplace(page, std::move(mem));
+    return raw;
+  }
+
   std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> pages_;
   std::unordered_map<uint64_t, uint64_t> sums_;
   std::unordered_map<uint64_t, uint32_t> gens_;

@@ -3,6 +3,11 @@
 #include <array>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define DILOS_EC_X86 1
+#endif
+
 namespace dilos {
 
 namespace {
@@ -11,6 +16,10 @@ namespace {
 struct GfTables {
   std::array<uint8_t, 256> log{};
   std::array<uint8_t, 512> exp{};  // Doubled so exp[log a + log b] needs no mod.
+  // Split-nibble product tables: nibble[c][x] = c*x and nibble[c][16 + x] =
+  // c*(x << 4) for x in 0..15. Multiplication by c is linear over GF(2), so
+  // c*s = nibble[c][s & 15] ^ nibble[c][16 + (s >> 4)] for every byte s.
+  std::array<std::array<uint8_t, 32>, 256> nibble{};
 
   GfTables() {
     uint16_t x = 1;
@@ -25,12 +34,71 @@ struct GfTables {
     for (int i = 255; i < 512; ++i) {
       exp[static_cast<size_t>(i)] = exp[static_cast<size_t>(i - 255)];
     }
+    for (size_t c = 1; c < 256; ++c) {
+      for (size_t x = 1; x < 16; ++x) {
+        nibble[c][x] = exp[static_cast<size_t>(log[c]) + log[x]];
+        nibble[c][16 + x] = exp[static_cast<size_t>(log[c]) + log[x << 4]];
+      }
+    }
   }
 };
 
 const GfTables& Tables() {
   static const GfTables t;
   return t;
+}
+
+// The byte loop both kernels share: the whole of the portable kernel, and
+// the AVX2 kernel's tail of fewer than 32 bytes.
+void XorMulBytes(uint8_t* dst, const uint8_t* src, const uint8_t* nib, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    dst[i] ^= static_cast<uint8_t>(nib[src[i] & 15] ^ nib[16 + (src[i] >> 4)]);
+  }
+}
+
+#ifdef DILOS_EC_X86
+// 32 bytes per step: vpshufb looks each source nibble up in the 16-entry
+// table held in both 128-bit lanes.
+__attribute__((target("avx2"))) void XorMulAvx2(uint8_t* dst, const uint8_t* src,
+                                                const uint8_t* nib, size_t n) {
+  const __m256i lo =
+      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(nib)));
+  const __m256i hi =
+      _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(nib + 16)));
+  const __m256i mask = _mm256_set1_epi8(0x0F);
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
+    __m256i p = _mm256_xor_si256(
+        _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask)),
+        _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(d, p));
+  }
+  XorMulBytes(dst + i, src + i, nib, n - i);
+}
+#endif
+
+using XorMulKernelFn = void (*)(uint8_t*, const uint8_t*, const uint8_t*, size_t);
+
+struct XorMulDispatch {
+  XorMulKernelFn fn = XorMulBytes;
+  const char* name = "portable";
+
+  XorMulDispatch() {
+#ifdef DILOS_EC_X86
+    __builtin_cpu_init();  // Needed if first called from a static constructor.
+    if (__builtin_cpu_supports("avx2")) {
+      fn = XorMulAvx2;
+      name = "avx2";
+    }
+#endif
+  }
+};
+
+const XorMulDispatch& Dispatch() {
+  static const XorMulDispatch d;
+  return d;
 }
 
 }  // namespace
@@ -72,24 +140,16 @@ uint8_t ECCodec::Coef(int member, int j) const {
 }
 
 void ECCodec::XorMulInto(uint8_t* dst, const uint8_t* src, uint8_t coef, size_t n) {
-  if (coef == 0) {
-    return;
-  }
-  if (coef == 1) {
-    for (size_t i = 0; i < n; ++i) {
-      dst[i] ^= src[i];
-    }
-    return;
-  }
-  const GfTables& t = Tables();
-  size_t lc = t.log[coef];
-  for (size_t i = 0; i < n; ++i) {
-    uint8_t s = src[i];
-    if (s != 0) {
-      dst[i] ^= t.exp[lc + static_cast<size_t>(t.log[s])];
-    }
+  if (coef != 0) {
+    Dispatch().fn(dst, src, Tables().nibble[coef].data(), n);
   }
 }
+
+void ECCodec::XorMulIntoPortable(uint8_t* dst, const uint8_t* src, uint8_t coef, size_t n) {
+  XorMulBytes(dst, src, Tables().nibble[coef].data(), n);
+}
+
+const char* ECCodec::XorMulKernel() { return Dispatch().name; }
 
 bool ECCodec::Reconstruct(int lost, const int* members, const uint8_t* const* blocks,
                           int count, uint8_t* out, size_t n) const {

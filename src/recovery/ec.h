@@ -17,6 +17,17 @@
 // identity-plus-Vandermonde rows were MDS only for m <= 2; Reconstruct()'s
 // singularity check remains as a defense-in-depth guard.)
 //
+// XorMulInto, the one byte-crunching primitive (parity RMW, degraded read,
+// repair and scrub all reach it), is a split-nibble kernel: multiplication
+// by a fixed coefficient c is linear over GF(2), so c*s = c*(s & 15) ^
+// c*(s & 0xF0), and each half is a lookup in a 16-entry table built once per
+// coefficient. On a CPU with AVX2 one vpshufb does 32 such lookups at once;
+// every other CPU runs a byte loop over the same tables. The CPU picks the
+// path once at run time (__builtin_cpu_supports), not a build flag or a
+// setting, so one binary is fast where it can be and correct everywhere.
+// Both paths are byte-identical: test_ec checks each against GfMul for
+// every coefficient, with lengths and offsets that reach the SIMD tail.
+//
 // ECCodec is pure arithmetic: no fabric, no router, no clock. Layout
 // (which granule belongs to which stripe, which node holds which member)
 // lives in ShardRouter; orchestration (who reads what when) lives in the
@@ -55,7 +66,13 @@ class ECCodec {
   // dst[i] ^= gmul(coef, src[i]) for n bytes — the parity-update primitive:
   // with coef = Coef(k+p, j), folding (old ^ new) of data member j into
   // parity p keeps the stripe consistent without touching other members.
+  // Runs the kernel XorMulKernel() names (see the file comment).
   static void XorMulInto(uint8_t* dst, const uint8_t* src, uint8_t coef, size_t n);
+  // The same product through the portable byte loop on any CPU, so tests
+  // and benches reach it where XorMulInto would take the AVX2 path.
+  static void XorMulIntoPortable(uint8_t* dst, const uint8_t* src, uint8_t coef, size_t n);
+  // "avx2" or "portable": the kernel XorMulInto runs on this CPU.
+  static const char* XorMulKernel();
 
   // Reconstructs stripe member `lost` (data or parity) from `count` >= k
   // surviving members: members[i] names the member index of blocks[i].

@@ -71,11 +71,8 @@ inline uint64_t PageChecksum(const uint8_t* data) {
 // installed on `store`. True when no checksum exists — nothing to verify
 // against (the page was never fully written back).
 inline bool VerifyPageBytes(const PageStore& store, uint64_t page_va, const uint8_t* bytes) {
-  uint64_t page = page_va >> kPageShift;
-  if (!store.HasChecksum(page)) {
-    return true;
-  }
-  return store.Checksum(page) == PageChecksum(bytes);
+  auto it = store.checksums().find(page_va >> kPageShift);
+  return it == store.checksums().end() || it->second == PageChecksum(bytes);
 }
 
 // Freshness check beside the content check: true when the copy on `store`

@@ -196,6 +196,52 @@ TEST(ECCodec, DeltaUpdateKeepsParityConsistent) {
   EXPECT_EQ(std::memcmp(out.data(), fresh.data(), n), 0);
 }
 
+TEST(ECCodec, XorMulKernelsMatchGfMul) {
+  // Both kernels against a per-byte GfMul reference: every coefficient,
+  // lengths on both sides of the 16- and 32-byte SIMD steps up to a whole
+  // page, and source and destination offsets 0-3, so unaligned loads and
+  // every tail path run. Bytes outside the destination range must not move.
+  // The portable loop is called directly, so it is covered on AVX2 CPUs too.
+  struct Kernel {
+    const char* name;
+    void (*fn)(uint8_t*, const uint8_t*, uint8_t, size_t);
+  };
+  const Kernel kernels[] = {{ECCodec::XorMulKernel(), ECCodec::XorMulInto},
+                            {"portable", ECCodec::XorMulIntoPortable}};
+  const size_t kLens[] = {0, 1, 15, 16, 17, 31, 32, 33, 4095, 4096};
+  const size_t kBuf = kPageSize + 3;
+  std::vector<uint8_t> src(kBuf), dst0(kBuf), prod(kPageSize), want(kBuf), got(kBuf);
+  uint32_t x = 0xEC;
+  for (size_t i = 0; i < kBuf; ++i) {
+    x = x * 1664525u + 1013904223u;
+    src[i] = static_cast<uint8_t>(x >> 24);
+    dst0[i] = static_cast<uint8_t>(x >> 16);
+  }
+  for (int c = 0; c < 256; ++c) {
+    uint8_t coef = static_cast<uint8_t>(c);
+    for (size_t so = 0; so < 4; ++so) {
+      for (size_t i = 0; i < kPageSize; ++i) {
+        prod[i] = ECCodec::GfMul(coef, src[so + i]);
+      }
+      for (size_t dofs = 0; dofs < 4; ++dofs) {
+        for (size_t len : kLens) {
+          want = dst0;
+          for (size_t i = 0; i < len; ++i) {
+            want[dofs + i] ^= prod[i];
+          }
+          for (const Kernel& k : kernels) {
+            got = dst0;
+            k.fn(got.data() + dofs, src.data() + so, coef, len);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(), kBuf), 0)
+                << k.name << " kernel, coef " << c << ", src offset " << so
+                << ", dst offset " << dofs << ", length " << len;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(EcLayout, StripeMembersLandOnDistinctNodesAndRoundTrip) {
   Fabric fabric(CostModel::Default(), 6);
   ECConfig ec;
@@ -299,6 +345,47 @@ TEST(EcRuntime, ParityStaysConsistentAcrossCleanerWriteBacks) {
   EXPECT_GT(rt.stats().ec_parity_updates, 0u);
   fabric.CrashNode(0);
   EXPECT_EQ(VerifySweep(rt, region, pages, 0xBEEF), 0u);
+  EXPECT_EQ(rt.stats().failed_fetches, 0u);
+}
+
+TEST(EcRuntime, ParityDeltaSkipsUnchangedPagesAndCatchesTheLastByte) {
+  // The write-back folds delta = old ^ new into parity a word at a time and
+  // skips the round when every word is zero. Re-cleaning identical bytes
+  // must cost no parity update; a change in the page's last byte (the top
+  // byte of its last word) must cost exactly one and decode after the
+  // page's home node is lost.
+  Fabric fabric(CostModel::Default(), 6);
+  DilosRuntime rt(fabric, EcConfig(4, 2), std::make_unique<NullPrefetcher>());
+  const uint64_t pages = 256;
+  uint64_t region = rt.AllocRegion(pages * kPageSize);
+  Populate(rt, region, pages);
+  // Reads every page but the first: 255 faults cycle the 64 local frames,
+  // so every dirty page, page 0 included, is written back clean.
+  auto sweep_others = [&] {
+    for (uint64_t p = 1; p < pages; ++p) {
+      rt.Read<uint64_t>(region + p * kPageSize);
+    }
+  };
+  sweep_others();
+
+  uint64_t updates = rt.stats().ec_parity_updates;
+  uint64_t writebacks = rt.stats().writebacks;
+  rt.Write<uint64_t>(region, 0xD15C0);  // The bytes page 0 already holds.
+  sweep_others();
+  EXPECT_EQ(rt.stats().writebacks, writebacks + 1) << "page 0 is re-cleaned";
+  EXPECT_EQ(rt.stats().ec_parity_updates, updates);
+
+  rt.Write<uint8_t>(region + kPageSize - 1, 0x5A);
+  sweep_others();
+  EXPECT_EQ(rt.stats().ec_parity_updates, updates + 1);
+
+  uint64_t granule = ShardRouter::GranuleOf(region);
+  uint64_t stripe = rt.router().EcStripeOf(granule);
+  fabric.CrashNode(rt.router().EcNode(stripe, rt.router().EcMemberOf(granule)));
+  uint64_t degraded = rt.stats().ec_degraded_reads;
+  EXPECT_EQ(rt.Read<uint8_t>(region + kPageSize - 1), 0x5A);
+  EXPECT_EQ(rt.Read<uint64_t>(region), 0xD15C0u);
+  EXPECT_GT(rt.stats().ec_degraded_reads, degraded);
   EXPECT_EQ(rt.stats().failed_fetches, 0u);
 }
 
