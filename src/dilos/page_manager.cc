@@ -782,14 +782,14 @@ void PageManager::BackgroundTick(uint64_t now, uint64_t pinned_va) {
   ScrubTick(now);
 }
 
-uint32_t PageManager::AllocFrame(Clock& clk, LatencyBreakdown* bd) {
+uint32_t PageManager::AllocFrame(FaultClock& fc) {
   std::optional<uint32_t> fid = pool_.Alloc();
   if (!fid.has_value()) {
     // The background thread fell behind: direct reclaim in the fault path.
     ++direct_reclaims_;
     while (!fid.has_value()) {
       uint64_t admitted_before = stats_.tier_stored_pages;
-      if (!EvictOne(clk.now())) {
+      if (!EvictOne(fc.now())) {
         // Nothing evictable: the pool is exhausted and every resident page
         // is pinned — or dirty with no replica accepting write-backs, in
         // which case no frame can be freed without discarding a sole copy.
@@ -803,10 +803,7 @@ uint32_t PageManager::AllocFrame(Clock& clk, LatencyBreakdown* bd) {
         // background cleaner/reclaimer runs on spare cores).
         reclaim_ns += cost_->tier_compress_page_ns;
       }
-      clk.Advance(reclaim_ns);
-      if (bd != nullptr) {
-        bd->Add(LatComp::kReclaim, reclaim_ns);
-      }
+      fc.Reclaim(reclaim_ns);
       fid = pool_.Alloc();
     }
   }

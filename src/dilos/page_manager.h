@@ -39,8 +39,8 @@
 #include "src/pt/frame_pool.h"
 #include "src/pt/page_table.h"
 #include "src/rdma/queue_pair.h"
-#include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/fault_clock.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
 #include "src/tier/tier.h"
@@ -99,9 +99,9 @@ class PageManager {
 
   // Allocates a frame for the fault handler. On the eager-eviction fast path
   // this is a free-list pop; if the pool is exhausted (the background thread
-  // fell behind) a direct reclaim runs in the fault path, charging `clk` and
-  // recording LatComp::kReclaim in `bd`.
-  uint32_t AllocFrame(Clock& clk, LatencyBreakdown* bd);
+  // fell behind) a direct reclaim runs in the fault path, on `fc` (see
+  // FaultClock::Reclaim).
+  uint32_t AllocFrame(FaultClock& fc);
 
   // Action-log access for the runtime's action-PTE fault path.
   const std::vector<PageSegment>* ActionSegments(uint64_t log_idx) const;

@@ -99,7 +99,7 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
       cost_(fabric.cost()),
       tracer_(cfg.trace_capacity),
       pool_(cfg.local_mem_bytes / kPageSize),
-      clocks_(static_cast<size_t>(cfg.num_cores)),
+      clocks_(static_cast<size_t>(cfg.num_cores), FaultClock(stats_.fault_breakdown, &tracer_)),
       router_(fabric, cfg.num_cores, cfg.replication, cfg.shared_queue,
               cfg.recovery.spare_nodes, cfg.ec),
       // Each core keeps a readahead window in flight; the eager free pool
@@ -157,7 +157,6 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
                                                 stats_, &tracer_, cfg_.tenants.hotness,
                                                 fabric_.num_nodes());
   }
-  fault_scope_.resize(static_cast<size_t>(cfg_.num_cores));
   if (cfg_.telemetry.enabled()) {
     telemetry_ = std::make_unique<Telemetry>(cfg_.telemetry, fabric.num_nodes());
     metrics_registry_ = telemetry_->metrics();
@@ -247,7 +246,7 @@ void DilosRuntime::Background(uint64_t now, uint64_t pinned_va) {
 }
 
 void DilosRuntime::DriveRecovery(uint64_t duration_ns) {
-  Clock& clk = clocks_[0];
+  Clock& clk = clocks_[0].clock();
   uint64_t end = clk.now() + duration_ns;
   uint64_t step = detector_ != nullptr ? kProbeIntervalNs : 10'000;
   while (clk.now() < end) {
@@ -259,6 +258,7 @@ void DilosRuntime::DriveRecovery(uint64_t duration_ns) {
 Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
                                      const std::vector<PageSegment>* segs, int core,
                                      CommChannel ch, uint64_t* cursor_ns) {
+  FaultClock& fc = clocks_[static_cast<size_t>(core)];
   uint32_t max_retries = detector_ != nullptr ? kDemandMaxRetries : 0;
   uint64_t backoff = detector_ != nullptr ? kDemandBackoffBaseNs : 0;
   // Mismatch retries are budgeted separately from timeout retries: a wire
@@ -284,10 +284,9 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
       // is the fallback when fewer than k members are readable.
       uint64_t ec_start_ns = *cursor_ns;
       bool decoded = EcDemandReconstruct(page_va, frame_addr, segs, core, ch, cursor_ns);
-      // The decode delta is stamped here at the demand call site, not inside
-      // EcDemandReconstruct: guide contexts reconstruct on private cursors
-      // with no fault in flight.
-      AttrAdd(core, FaultPhase::kEcDecode, *cursor_ns - ec_start_ns);
+      // Charged here at the demand call site, not inside EcDemandReconstruct:
+      // guide contexts reconstruct on private cursors, outside this fault.
+      fc.Charge(FaultPhase::kEcDecode, ec_start_ns, *cursor_ns);
       if (decoded) {
         if (exclude >= 0 && segs == nullptr) {
           HealCorruptReplica(page_va, exclude, reinterpret_cast<const uint8_t*>(frame_addr),
@@ -326,12 +325,10 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
     }
     *cursor_ns = c.completion_time_ns;
     tracer_.EndSpan(attempt_span, *cursor_ns);
-    if (attr_ != nullptr && *cursor_ns > post_ns) {
-      // Split this attempt between scheduler-lane queueing and the wire
-      // itself; the completion's queueing is already capped at its latency.
-      AttrAdd(core, FaultPhase::kLaneWait, c.queue_ns);
-      AttrAdd(core, FaultPhase::kWire, *cursor_ns - post_ns - c.queue_ns);
-    }
+    // Split this attempt between scheduler-lane queueing and the wire itself;
+    // the completion's queueing is already capped at its latency.
+    fc.Charge(FaultPhase::kLaneWait, post_ns, post_ns + c.queue_ns);
+    fc.Charge(FaultPhase::kWire, post_ns + c.queue_ns, *cursor_ns);
     if (c.status == WcStatus::kSuccess) {
       if (segs == nullptr &&
           !VerifyPageBytes(fabric_.node(t.node).store(), page_va,
@@ -441,12 +438,10 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
       metrics_registry_->OnRetry(t.node, QpClassForChannel(ch));
     }
     router_.ReportOpFailure(t.node, *cursor_ns);
-    uint32_t backoff_span =
-        tracer_.BeginSpan(SpanKind::kRetryBackoff, *cursor_ns, page_va, timeout_attempts);
     uint64_t backoff_ns = backoff << (timeout_attempts - 1);  // Exponential backoff.
+    fc.Charge(FaultPhase::kBackoff, *cursor_ns, *cursor_ns + backoff_ns, SpanKind::kRetryBackoff,
+              timeout_attempts);
     *cursor_ns += backoff_ns;
-    AttrAdd(core, FaultPhase::kBackoff, backoff_ns);
-    tracer_.EndSpan(backoff_span, *cursor_ns);
   }
   stats_.failed_fetches++;
   if (poisoned && segs == nullptr) {
@@ -469,17 +464,14 @@ void DilosRuntime::HealCorruptReplica(uint64_t page_va, int node, const uint8_t*
   PageStore& store = fabric_.node(node).store();
   // The healed copy carries the current expected generation: the bytes we
   // write are the ones the successful (fresh) fetch verified.
-  uint32_t heal_span = tracer_.BeginSpan(SpanKind::kHeal, issue_ns, page_va,
-                                         static_cast<uint32_t>(node));
   Completion c = WritePageChecked(router_.NodeQp(/*core=*/0, CommChannel::kManager, node),
                                   store, page_va, good, issue_ns, &wr_id_, stats_, &tracer_,
                                   router_.PageGeneration(page_va));
-  tracer_.EndSpan(heal_span, c.completion_time_ns);
   // kHeal is off-path by construction: the heal write is posted at the
   // demand fetch's completion time without advancing the fault cursor, so
   // it never extends the faulting thread's latency.
-  AttrAdd(core, FaultPhase::kHeal,
-          c.completion_time_ns > issue_ns ? c.completion_time_ns - issue_ns : 0);
+  clocks_[static_cast<size_t>(core)].Charge(FaultPhase::kHeal, issue_ns, c.completion_time_ns,
+                                            SpanKind::kHeal, static_cast<uint32_t>(node));
   if (c.status != WcStatus::kSuccess) {
     router_.ReportOpFailure(node, c.completion_time_ns);
     return;
@@ -605,59 +597,10 @@ std::optional<FaultFiber> DilosRuntime::RetireParked(uint64_t page_va) {
   return std::nullopt;
 }
 
-uint32_t DilosRuntime::EnterFault(int core, uint64_t page_va, uint64_t entry_ns) {
-  Clock& clk = clocks_[static_cast<size_t>(core)];
-  FaultScope& s = fault_scope_[static_cast<size_t>(core)];
-  if (s.depth++ == 0) {
-    s.span = tracer_.BeginSpan(SpanKind::kFault, clk.now(), page_va);
-    s.page_va = page_va;
-    s.moved = false;
-    if (attr_ != nullptr) {
-      s.slice.Clear();
-      s.slice.start_ns = entry_ns;
-    }
+void DilosRuntime::EndFault(FaultClock& fc) {
+  if (fc.Exit() && attr_ != nullptr) {
+    CommitFaultSlice(fc.slice(), fc.page_va(), fc.now());
   }
-  LatencyBreakdown& bd = stats_.fault_breakdown;
-  AttrAdd(core, FaultPhase::kHandler, clk.now() - entry_ns);
-  bd.CountEvent();
-  bd.Add(LatComp::kHwException, cost_.hw_exception_ns);
-  bd.Add(LatComp::kOsHandler, cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns);
-  uint64_t alloc_start_ns = clk.now();
-  uint32_t frame = pm_.AllocFrame(clk, &bd);
-  AttrAdd(core, FaultPhase::kAlloc, clk.now() - alloc_start_ns);
-  return frame;
-}
-
-void DilosRuntime::EndFault(int core, uint64_t now) {
-  FaultScope& s = fault_scope_[static_cast<size_t>(core)];
-  if (s.depth == 0 || --s.depth != 0) {
-    return;  // Inner handler of a retried fault; the outermost scope owns it.
-  }
-  tracer_.EndSpan(s.span, now);
-  s.span = 0;
-  if (attr_ != nullptr && !s.moved) {
-    CommitFaultSlice(s.slice, s.page_va, now);
-  }
-}
-
-void DilosRuntime::AttrAdd(int core, FaultPhase p, uint64_t dt) {
-  if (attr_ == nullptr || dt == 0) {
-    return;
-  }
-  FaultScope& s = fault_scope_[static_cast<size_t>(core)];
-  if (s.depth == 0) {
-    return;  // Guide-context / background work with no fault in flight.
-  }
-  if (s.moved) {
-    // The fault already parked; the one late stamp (the depth-limit stall
-    // at the end of its handler) goes to its fiber, still on this core.
-    FaultFiber* f = pipelines_[static_cast<size_t>(core)].Find(s.page_va);
-    if (f != nullptr) {
-      f->slice.Add(p, dt);
-    }
-    return;
-  }
-  s.slice.Add(p, dt);
 }
 
 void DilosRuntime::CommitFaultSlice(const FaultSlice& slice, uint64_t page_va,
@@ -679,21 +622,13 @@ void DilosRuntime::CommitFaultSlice(const FaultSlice& slice, uint64_t page_va,
   }
 }
 
-void DilosRuntime::CommitParkedSlice(FaultFiber& fiber, uint64_t end_ns) {
-  const uint64_t map_ns = cost_.dilos_map_ns + cost_.map_tlb_flush_ns;
-  // end_ns >= done_ns + map_ns: the install starts after the data arrived.
-  fiber.slice.Add(FaultPhase::kOverlap, end_ns - fiber.done_ns - map_ns);
-  fiber.slice.Add(FaultPhase::kMap, map_ns);
-  CommitFaultSlice(fiber.slice, fiber.page_va, end_ns);
-}
-
 void DilosRuntime::HarvestFaultPipeline(int core, uint64_t now) {
   FaultPipeline& pipe = pipelines_[static_cast<size_t>(core)];
   harvest_scratch_.clear();
   if (pipe.HarvestUpTo(now, &harvest_scratch_) == 0) {
     return;
   }
-  Clock& clk = clocks_[static_cast<size_t>(core)];
+  Clock& clk = clocks_[static_cast<size_t>(core)].clock();
   uint32_t resume_span =
       tracer_.BeginSpan(SpanKind::kFaultResume, clk.now(), harvest_scratch_.front().page_va,
                         static_cast<uint32_t>(harvest_scratch_.size()));
@@ -704,44 +639,45 @@ void DilosRuntime::HarvestFaultPipeline(int core, uint64_t now) {
 }
 
 void DilosRuntime::InstallFibers(int core, uint32_t resume_span) {
-  Clock& clk = clocks_[static_cast<size_t>(core)];
-  LatencyBreakdown& bd = stats_.fault_breakdown;
+  FaultClock& fc = clocks_[static_cast<size_t>(core)];
   // Every fiber still owns its page: FreeRegion retires the fibers it tears
   // down, so none reaches an install.
   for (const FaultFiber& f : harvest_scratch_) {
     MapInflight(f.page_va, kPteAccessed | (f.write ? kPteDirty : 0));
-    clk.Advance(cost_.dilos_map_ns);
-    bd.Add(LatComp::kMap, cost_.dilos_map_ns);
-    stats_.fault_resumes++;
-    stats_.fault_inflight--;
   }
-  // The batch commits with a single TLB/PTE flush — the install cost the
-  // pipeline amortizes over the whole batch.
-  clk.Advance(cost_.map_tlb_flush_ns);
-  bd.Add(LatComp::kMap, cost_.map_tlb_flush_ns);
+  // One install per page, then a single TLB/PTE flush for the batch — the
+  // install cost the pipeline amortizes over the whole batch.
+  fc.Install(harvest_scratch_.size() * cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
+  stats_.fault_resumes += harvest_scratch_.size();
+  stats_.fault_inflight -= harvest_scratch_.size();
   stats_.fault_batched_installs++;
   if (attr_ != nullptr) {
+    // Each fiber's window closes right after the flush: kMap is its own
+    // install plus the flush, kOverlap the rest since its data arrived.
+    const uint64_t map_ns = cost_.dilos_map_ns + cost_.map_tlb_flush_ns;
     for (FaultFiber& f : harvest_scratch_) {
-      CommitParkedSlice(f, clk.now());
+      f.slice.Add(FaultPhase::kOverlap, fc.now() - f.done_ns - map_ns);
+      f.slice.Add(FaultPhase::kMap, map_ns);
+      CommitFaultSlice(f.slice, f.page_va, fc.now());
     }
   }
   if (pipelines_[static_cast<size_t>(core)].depth() > 1) {
-    clk.Advance(cost_.fiber_resume_ns);
+    fc.clock().Advance(cost_.fiber_resume_ns);
   }
-  tracer_.EndSpan(resume_span, clk.now());
+  tracer_.EndSpan(resume_span, fc.now());
 }
 
 void DilosRuntime::Quiesce() {
   for (size_t c = 0; c < pipelines_.size(); ++c) {
     while (!pipelines_[c].empty()) {
-      clocks_[c].AdvanceTo(pipelines_[c].OldestDoneNs());
+      clocks_[c].clock().AdvanceTo(pipelines_[c].OldestDoneNs());
       HarvestFaultPipeline(static_cast<int>(c), clocks_[c].now());
     }
   }
 }
 
 uint8_t* DilosRuntime::Pin(uint64_t vaddr, uint32_t len, bool write, int core) {
-  Clock& clk = clocks_[static_cast<size_t>(core)];
+  Clock& clk = clocks_[static_cast<size_t>(core)].clock();
   Pte* e = pt_.Entry(vaddr, /*create=*/true);
   if (PteTagOf(*e) == PteTag::kLocal) {
     // Fast path: the software stand-in for the MMU walk.
@@ -848,31 +784,31 @@ bool DilosRuntime::StartPrefetch(uint64_t page_va, uint64_t issue_ns, int core,
 void DilosRuntime::RunPrefetcher(const FaultInfo& info, int core) {
   prefetch_scratch_.clear();
   prefetchers_[static_cast<size_t>(core)]->OnFault(info, &prefetch_scratch_);
-  Clock& clk = clocks_[static_cast<size_t>(core)];
+  FaultClock& fc = clocks_[static_cast<size_t>(core)];
   uint64_t issue_work = 0;
   for (uint64_t p : prefetch_scratch_) {
-    if (StartPrefetch(PageOf(p), clk.now() + issue_work, core, CommChannel::kPrefetch)) {
+    if (StartPrefetch(PageOf(p), fc.now() + issue_work, core, CommChannel::kPrefetch)) {
       issue_work += cost_.dilos_prefetch_issue_ns;
     }
   }
-  if (issue_work > 0) {
-    clk.Advance(issue_work);
-    stats_.fault_breakdown.Add(LatComp::kPrefetch, issue_work);
-  }
+  fc.Advance(issue_work, LatComp::kPrefetch);
 }
 
 uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int core) {
-  Clock& clk = clocks_[static_cast<size_t>(core)];
+  FaultClock& fc = clocks_[static_cast<size_t>(core)];
+  Clock& clk = fc.clock();
   uint64_t page_va = PageOf(vaddr);
-  LatencyBreakdown& bd = stats_.fault_breakdown;
-
-  // Attribution clock zero: the fault's end-to-end window opens before the
-  // handler-entry costs so the kHandler phase is on the tiled path.
-  uint64_t fault_entry_ns = clk.now();
-  clk.Advance(cost_.hw_exception_ns + cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns);
-
   Pte* e = pt_.Entry(page_va, /*create=*/true);
-  switch (PteTagOf(*e)) {
+  PteTag tag = PteTagOf(*e);
+  // A fault that fills a frame is a breakdown event with a critical path: its
+  // scope opens (or deepens) before the exception, trap and PTE check.
+  if (tag == PteTag::kAction || tag == PteTag::kTier || tag == PteTag::kRemote) {
+    fc.Enter(page_va, cost_.hw_exception_ns, cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns);
+  } else {
+    clk.Advance(cost_.hw_exception_ns + cost_.os_trap_entry_ns + cost_.dilos_pte_check_ns);
+  }
+
+  switch (tag) {
     case PteTag::kLocal:
       break;  // Raced with a concurrent map; fall through to return below.
 
@@ -880,7 +816,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       // Anonymous first touch: allocate a zero frame, no network.
       stats_.zero_fill_faults++;
       tracer_.Record(clk.now(), TraceEvent::kZeroFill, page_va);
-      uint32_t frame = pm_.AllocFrame(clk, nullptr);
+      uint32_t frame = pm_.AllocFrame(fc);
       std::memset(pool_.Data(frame), 0, kPageSize);
       *pt_.Entry(page_va, true) =
           MakeLocalPte(frame, true) | kPteAccessed | kPteDirty;  // Content exists only locally.
@@ -946,7 +882,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       stats_.major_faults++;
       tracer_.Record(clk.now(), TraceEvent::kActionFetch, page_va);
       uint64_t log_idx = PtePayload(*e);
-      uint32_t frame = EnterFault(core, page_va, fault_entry_ns);
+      uint32_t frame = pm_.AllocFrame(fc);
       // Looked up after the frame is allocated: direct reclaim may evict
       // through an action slot, and growing the action log moves the lists.
       const std::vector<PageSegment>* segs = pm_.ActionSegments(log_idx);
@@ -958,18 +894,16 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         stats_.bytes_fetched += s.length;
       }
       uint64_t done = cursor + (cfg_.tcp_emulation ? cost_.tcp_delay_ns : 0);
-      AttrAdd(core, FaultPhase::kWire, done - cursor);
-      bd.Add(LatComp::kFetch, clk.AdvanceTo(done));
+      fc.Charge(FaultPhase::kWire, cursor, done);
+      fc.AwaitFetch(done, /*other_fault=*/false);
       pm_.ReleaseAction(log_idx);
       *pt_.Entry(page_va, true) =
           MakeLocalPte(frame, true) | kPteAccessed | (write ? kPteDirty : 0);
       pm_.OnMapped(page_va);
-      clk.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
-      bd.Add(LatComp::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
-      AttrAdd(core, FaultPhase::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
+      fc.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns, LatComp::kMap);
       DrainArrivals(clk.now());
       Background(clk.now(), page_va);
-      EndFault(core, clk.now());
+      EndFault(fc);
       break;
     }
 
@@ -979,7 +913,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       // RDMA round trip; that gap is the tier's entire point.
       stats_.minor_faults++;
       stats_.tier_hits++;
-      uint32_t frame = EnterFault(core, page_va, fault_entry_ns);
+      uint32_t frame = pm_.AllocFrame(fc);
       bool was_dirty = false;
       bool present = tier_ != nullptr && tier_->Contains(page_va);
       if (tier_ == nullptr || !tier_->Take(page_va, pool_.Data(frame), &was_dirty)) {
@@ -998,32 +932,23 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         stats_.tier_hits--;
         stats_.minor_faults--;
         *pt_.Entry(page_va, true) = MakeRemotePte(page_va >> kPageShift);
-        // One fault, one span: the remote retry re-enters HandleFault under
-        // this same fault scope (depth 2), so the kFault span — and the
-        // attribution slice — covers the whole resolution, not just the
-        // failed tier attempt.
+        // One fault: the remote retry re-enters this fault's scope, so one
+        // `fault` span, one breakdown event and one slice cover it all.
         uint8_t* resolved = Pin(vaddr, len, write, core);
-        EndFault(core, clk.now());
+        EndFault(fc);
         return resolved;
       }
-      uint32_t decompress_span =
-          tracer_.BeginSpan(SpanKind::kTierDecompress, clk.now(), page_va);
-      clk.Advance(cost_.tier_decompress_page_ns);
-      bd.Add(LatComp::kDecompress, cost_.tier_decompress_page_ns);
-      AttrAdd(core, FaultPhase::kDecompress, cost_.tier_decompress_page_ns);
-      tracer_.EndSpan(decompress_span, clk.now());
+      fc.Advance(cost_.tier_decompress_page_ns, LatComp::kDecompress, SpanKind::kTierDecompress);
       // A page admitted dirty whose deferred write-back has not drained yet
       // comes back dirty: its content still exists nowhere but here.
       *pt_.Entry(page_va, true) = MakeLocalPte(frame, true) | kPteAccessed |
                                   ((write || was_dirty) ? kPteDirty : 0);
       pm_.OnMapped(page_va);
-      clk.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
-      bd.Add(LatComp::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
-      AttrAdd(core, FaultPhase::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
+      fc.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns, LatComp::kMap);
       tracer_.Record(clk.now(), TraceEvent::kTierHit, page_va, was_dirty ? 1 : 0);
       DrainArrivals(clk.now());
       Background(clk.now(), page_va);
-      EndFault(core, clk.now());
+      EndFault(fc);
       break;
     }
 
@@ -1038,7 +963,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         hotness_->OnDemandFault(page_va);  // Granule heat for the auto-migrator.
       }
       tracer_.Record(clk.now(), TraceEvent::kMajorFault, page_va);
-      uint32_t frame = EnterFault(core, page_va, fault_entry_ns);
+      uint32_t frame = pm_.AllocFrame(fc);
       uint64_t cursor = clk.now();
       Completion c =
           DemandFetch(page_va, pool_.Addr(frame), nullptr, core, CommChannel::kFault, &cursor);
@@ -1050,7 +975,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       // simulated), so the faulting access can complete — the page just
       // stays kFetching until an install commits its PTE.
       uint64_t done = cursor + (cfg_.tcp_emulation ? cost_.tcp_delay_ns : 0);
-      AttrAdd(core, FaultPhase::kWire, done - cursor);
+      fc.Charge(FaultPhase::kWire, cursor, done);
       if (c.status != WcStatus::kSuccess) {
         // Every replica is gone: the content is unrecoverable. Surface a
         // zero page (failed_fetches records the loss) rather than whatever
@@ -1063,27 +988,15 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         // Defensive: the end-of-handler stall below keeps the pipeline
         // under depth between faults, so admission normally never waits.
         stats_.fault_pipeline_stalls++;
-        uint64_t stall_ns = clk.AdvanceTo(pipe.OldestDoneNs());
-        bd.Add(LatComp::kFetch, stall_ns);
-        AttrAdd(core, FaultPhase::kStall, stall_ns);  // Waits on other faults only.
+        fc.AwaitFetch(pipe.OldestDoneNs(), /*other_fault=*/true);
         HarvestFaultPipeline(core, clk.now());
       }
-      FaultScope& scope = fault_scope_[static_cast<size_t>(core)];
-      pipe.Admit(page_va, done, write, scope.slice);
-      scope.moved = true;  // The fiber now carries the slice; EndFault skips it.
+      // The fiber now carries the slice. Fiber switch costs exist only when
+      // there is another fiber to switch to; at depth 1 the fault costs
+      // exactly a blocking wait.
+      fc.Park(pipe, done, write, pipe.depth() > 1 ? cost_.fiber_park_ns : 0);
       stats_.fault_parks++;
-      stats_.fault_inflight++;
-      if (stats_.fault_inflight > stats_.fault_inflight_peak) {
-        stats_.fault_inflight_peak = stats_.fault_inflight;
-      }
-      uint32_t park_span = tracer_.BeginSpan(SpanKind::kFaultPark, clk.now(), page_va,
-                                             static_cast<uint32_t>(pipe.size()));
-      if (pipe.depth() > 1) {
-        // Fiber switch costs exist only when there is another fiber to
-        // switch to; at depth 1 the fault costs exactly a blocking wait.
-        clk.Advance(cost_.fiber_park_ns);
-      }
-      tracer_.EndSpan(park_span, clk.now());
+      stats_.fault_inflight_peak = std::max(stats_.fault_inflight_peak, ++stats_.fault_inflight);
 
       // Work hidden in the fetch window: guide, hit tracker, prefetcher,
       // background manager.
@@ -1092,8 +1005,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         guide_->OnFault(ctx, vaddr, write);
       }
       tracker_.Scan(pt_, [this](uint64_t va, Pte pte) { pm_.OnAccessCleared(va, pte); });
-      clk.Advance(cost_.dilos_hit_tracker_ns);
-      bd.Add(LatComp::kPrefetch, cost_.dilos_hit_tracker_ns);
+      fc.Advance(cost_.dilos_hit_tracker_ns, LatComp::kPrefetch);
       FaultInfo info{vaddr, write, /*major=*/true, tracker_.hit_ratio()};
       RunPrefetcher(info, core);
       Background(clk.now(), page_va);
@@ -1104,15 +1016,11 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         // fault, which therefore resolves in-handler.
         stats_.fault_pipeline_stalls++;
         uint64_t oldest_ns = pipe.OldestDoneNs();
-        uint64_t stall_ns = clk.AdvanceTo(oldest_ns);
-        bd.Add(LatComp::kFetch, stall_ns);
-        if (oldest_ns < done) {
-          AttrAdd(core, FaultPhase::kStall, stall_ns);  // Another fault is the oldest.
-        }
+        fc.AwaitFetch(oldest_ns, /*other_fault=*/oldest_ns < done);
       }
       HarvestFaultPipeline(core, clk.now());
       DrainArrivals(clk.now());
-      EndFault(core, clk.now());
+      EndFault(fc);
       if (PteTagOf(*pt_.Entry(page_va, true)) == PteTag::kLocal) {
         break;  // Installed in-handler; the common exit sets the A/D bits.
       }

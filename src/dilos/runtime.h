@@ -7,7 +7,8 @@
 // maps any prefetched pages that have arrived, and lets the page manager do
 // background cleaning/eviction: all of it hidden inside the 4 KB fetch
 // window (Sec. 4.3-4.4). Prefetched pages are mapped directly into the page
-// table — there is no swap cache and hence no swap-cache minor faults.
+// table — there is no swap cache and hence no swap-cache minor faults. Each
+// core's FaultClock (src/sim/fault_clock.h) charges all fault-path time.
 #ifndef DILOS_SRC_DILOS_RUNTIME_H_
 #define DILOS_SRC_DILOS_RUNTIME_H_
 
@@ -26,7 +27,7 @@
 #include "src/pt/page_table.h"
 #include "src/recovery/repair_manager.h"
 #include "src/sim/far_runtime.h"
-#include "src/sim/fiber.h"
+#include "src/sim/fault_clock.h"
 #include "src/sim/trace.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tenant/hotness.h"
@@ -103,7 +104,7 @@ class DilosRuntime : public FarRuntime {
   // No-op at depth 1, where no fault outlives its handler.
   void Quiesce() override;
   using FarRuntime::clock;
-  Clock& clock(int core) override { return clocks_[static_cast<size_t>(core)]; }
+  Clock& clock(int core) override { return clocks_[static_cast<size_t>(core)].clock(); }
   RuntimeStats& stats() override { return stats_; }
   int num_cores() const override { return cfg_.num_cores; }
 
@@ -205,8 +206,8 @@ class DilosRuntime : public FarRuntime {
   // Rewrites the known-corrupt stored copy of `page_va` on `node` with the
   // verified bytes in `good` (read-path healing after a checksum mismatch).
   // Posted on the manager channel at `issue_ns`: healing is off the fault
-  // path, so the caller's cursor does not wait on it.
-  // `core` scopes the off-path kHeal attribution stamp.
+  // path, so the caller's cursor does not wait on it; `core`'s open fault
+  // takes it as its off-path kHeal phase.
   void HealCorruptReplica(uint64_t page_va, int node, const uint8_t* good, uint64_t issue_ns,
                           int core);
   // True when a readable replica of `page_va` other than `except` holds an
@@ -227,12 +228,6 @@ class DilosRuntime : public FarRuntime {
   // Installs an in-flight page: the frame its kFetching PTE names becomes a
   // local mapping carrying `bits` (accessed / dirty).
   void MapInflight(uint64_t page_va, Pte bits);
-  // Entry shared by every fault that fills a frame (kRemote, kAction,
-  // kTier): opens (or re-enters) the core's fault scope, charges the handler
-  // entry since `entry_ns`, and allocates the frame (reclaim included).
-  // The kFault span begins now; attribution starts at `entry_ns`, the
-  // pre-handler clock.
-  uint32_t EnterFault(int core, uint64_t page_va, uint64_t entry_ns);
   // Coalesced CQ poll for `core`: harvests every parked fiber whose
   // completion has passed and installs them as one batch.
   void HarvestFaultPipeline(int core, uint64_t now);
@@ -244,36 +239,12 @@ class DilosRuntime : public FarRuntime {
   // pipeline holds it (direct-touch resume, region teardown).
   std::optional<FaultFiber> RetireParked(uint64_t page_va);
 
-  // -- Per-fault attribution + span scoping (src/telemetry/attribution.h) ----
-  //
-  // One FaultScope per core tracks the *outermost* HandleFault invocation:
-  // its kFault tracer span and (with attribution on) the fault's phase
-  // vector. Re-entry — the tier-corrupt fallback re-faults the same page
-  // remotely via Pin — only bumps `depth`, so the retry shares the original
-  // span start and phase slice instead of restarting them.
-  struct FaultScope {
-    uint32_t depth = 0;
-    uint32_t span = 0;
-    uint64_t page_va = 0;
-    bool moved = false;  // Slice handed to the parked fiber (kRemote).
-    FaultSlice slice;
-  };
-
-  // Closes one nesting level of EnterFault's scope; at the outermost level
-  // ends the span and, when the slice was not handed to a parked fiber,
-  // commits it at `now`.
-  void EndFault(int core, uint64_t now);
-  // Adds `dt` to a phase of the core's active slice (or, once the fault
-  // parked, its fiber's). No-op when attribution is off or no fault scope is
-  // open.
-  void AttrAdd(int core, FaultPhase p, uint64_t dt);
+  // Closes one level of the core's fault scope (FaultClock::Exit) and, with
+  // attribution on, commits the slice of an outermost fault that never parked.
+  void EndFault(FaultClock& fc);
   // Commits a finished slice: attribution histograms, SLO scoring, and on a
   // breach alert the flight-recorder dump with the attribution snapshot.
   void CommitFaultSlice(const FaultSlice& slice, uint64_t page_va, uint64_t end_ns);
-  // Closes an installed fiber's slice at `end_ns`, right after its install
-  // batch's TLB flush: kMap is its own install plus the flush, kOverlap the
-  // rest of the time since its fetch completed. Commits it.
-  void CommitParkedSlice(FaultFiber& fiber, uint64_t end_ns);
 
   Fabric& fabric_;
   DilosConfig cfg_;
@@ -287,7 +258,9 @@ class DilosRuntime : public FarRuntime {
   PageTable pt_;
   FramePool pool_;
   RuntimeStats stats_;
-  std::vector<Clock> clocks_;
+  // Per-core phase clocks (src/sim/fault_clock.h): each core's Clock, its
+  // fault scope, and the only code that charges fault-path time.
+  std::vector<FaultClock> clocks_;
   ShardRouter router_;
   PageManager pm_;
   HitTracker tracker_;
@@ -345,9 +318,6 @@ class DilosRuntime : public FarRuntime {
   FlightRecorder* flight_ = nullptr;
   FaultAttribution* attr_ = nullptr;
   SloEngine* slo_ = nullptr;
-  // Per-core fault scopes (always sized num_cores — the span fix needs them
-  // even with attribution off).
-  std::vector<FaultScope> fault_scope_;
   std::vector<int> replica_scratch_;  // ReplicaHasChecksumElsewhere scratch.
   std::vector<uint64_t> prefetch_scratch_;  // RunPrefetcher candidate pages.
 

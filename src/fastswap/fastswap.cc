@@ -18,7 +18,7 @@ FastswapRuntime::FastswapRuntime(Fabric& fabric, FastswapConfig cfg)
       cfg_(cfg),
       cost_(fabric.cost()),
       pool_(cfg.local_mem_bytes / kPageSize),
-      clocks_(static_cast<size_t>(cfg.num_cores)),
+      clocks_(static_cast<size_t>(cfg.num_cores), FaultClock(stats_.fault_breakdown, nullptr)),
       qp_(fabric.CreateQp()) {}
 
 uint64_t FastswapRuntime::AllocRegion(uint64_t bytes) {
@@ -69,7 +69,7 @@ void FastswapRuntime::MapFrame(uint64_t page_va, uint32_t frame, bool write) {
   where_[page_va] = std::prev(lru_.end());
 }
 
-bool FastswapRuntime::EvictOne(Clock& clk, bool charged) {
+bool FastswapRuntime::EvictOne(FaultClock& fc, bool charged) {
   // Sweep mapped pages with second chance (the inactive list analogue).
   size_t limit = lru_.size() * 2 + 1;
   for (size_t scanned = 0; scanned < limit && !lru_.empty(); ++scanned) {
@@ -89,20 +89,18 @@ bool FastswapRuntime::EvictOne(Clock& clk, bool charged) {
     uint32_t frame = static_cast<uint32_t>(PtePayload(*e));
     bool dirty = (*e & kPteDirty) != 0;
     if (charged) {
-      clk.Advance(cost_.fsw_direct_reclaim_ns);
-      stats_.fault_breakdown.Add(LatComp::kReclaim, cost_.fsw_direct_reclaim_ns);
+      fc.Advance(cost_.fsw_direct_reclaim_ns, LatComp::kReclaim);
     }
     *pt_.Entry(page_va, true) = MakeRemotePte(page_va >> kPageShift);
     if (dirty) {
       // Frontswap stores are synchronous: direct reclaim polls the write to
       // completion in the fault path; the offload thread parks the frame
       // until its write completes.
-      Completion c = qp_->PostWrite(++wr_id_, pool_.Addr(frame), page_va, kPageSize, clk.now());
+      Completion c = qp_->PostWrite(++wr_id_, pool_.Addr(frame), page_va, kPageSize, fc.now());
       stats_.writebacks++;
       stats_.bytes_written += kPageSize;
       if (charged) {
-        uint64_t waited = clk.AdvanceTo(c.completion_time_ns);
-        stats_.fault_breakdown.Add(LatComp::kReclaim, waited);
+        fc.AdvanceTo(c.completion_time_ns, LatComp::kReclaim);
         pool_.Free(frame);
       } else {
         pending_free_.emplace_back(frame, c.completion_time_ns);
@@ -127,8 +125,7 @@ bool FastswapRuntime::EvictOne(Clock& clk, bool charged) {
     stats_.evictions++;
     ra_dropped_++;
     if (charged) {
-      clk.Advance(cost_.fsw_direct_reclaim_ns / 2);  // Cache drop is cheaper.
-      stats_.fault_breakdown.Add(LatComp::kReclaim, cost_.fsw_direct_reclaim_ns / 2);
+      fc.Advance(cost_.fsw_direct_reclaim_ns / 2, LatComp::kReclaim);  // Cache drop is cheaper.
     }
     return true;
   }
@@ -142,51 +139,46 @@ void FastswapRuntime::DrainPendingFrees(uint64_t now) {
   }
 }
 
-std::optional<uint32_t> FastswapRuntime::EnsureFrame(Clock& clk, bool in_fault_path) {
+std::optional<uint32_t> FastswapRuntime::EnsureFrame(FaultClock& fc) {
   // Fastswap reclaims one page per fault while under memory pressure: the
   // offload thread absorbs (1 - fraction) of those events, the rest run as
   // direct reclamation inside the fault handler (charged). Deterministic
   // rotation via a debt accumulator.
-  DrainPendingFrees(clk.now());
+  DrainPendingFrees(fc.now());
   size_t watermark = kFreeTarget;
   size_t cap = pool_.total() / 8 + 1;
   if (watermark > cap) {
     watermark = cap;
   }
   if (pool_.free_count() + pending_free_.size() < watermark) {
-    ++reclaim_events_;
     reclaim_debt_ += cost_.fsw_direct_reclaim_fraction;
-    bool direct = in_fault_path && reclaim_debt_ >= 1.0;
+    bool direct = reclaim_debt_ >= 1.0;
     if (direct) {
       reclaim_debt_ -= 1.0;
       ++direct_reclaims_;
     }
-    EvictOne(clk, /*charged=*/direct);
-    DrainPendingFrees(clk.now());
+    EvictOne(fc, /*charged=*/direct);
+    DrainPendingFrees(fc.now());
   }
   std::optional<uint32_t> fid = pool_.Alloc();
   while (!fid.has_value()) {
     // Pool drained: wait for an in-flight swap-out, or reclaim synchronously.
     if (!pending_free_.empty()) {
-      uint64_t waited = clk.AdvanceTo(pending_free_.front().second);
-      if (in_fault_path && waited > 0) {
-        stats_.fault_breakdown.Add(LatComp::kReclaim, waited);
-      }
-      DrainPendingFrees(clk.now());
+      fc.AdvanceTo(pending_free_.front().second, LatComp::kReclaim);
+      DrainPendingFrees(fc.now());
     } else {
-      ++reclaim_events_;
       ++direct_reclaims_;
-      if (!EvictOne(clk, /*charged=*/in_fault_path)) {
+      if (!EvictOne(fc, /*charged=*/true)) {
         break;
       }
-      DrainPendingFrees(clk.now());
+      DrainPendingFrees(fc.now());
     }
     fid = pool_.Alloc();
   }
   return fid;
 }
 
-void FastswapRuntime::Readahead(uint64_t fault_page, Clock& clk) {
+void FastswapRuntime::Readahead(uint64_t fault_page, FaultClock& fc) {
   if (!cfg_.readahead_enabled) {
     return;
   }
@@ -207,14 +199,14 @@ void FastswapRuntime::Readahead(uint64_t fault_page, Clock& clk) {
     // Readahead pages go through the same allocation path as the demand
     // page: under memory pressure that means reclamation work, a share of
     // which runs right here in the fault context.
-    std::optional<uint32_t> fid = EnsureFrame(clk, /*in_fault_path=*/true);
+    std::optional<uint32_t> fid = EnsureFrame(fc);
     if (!fid.has_value()) {
       break;
     }
     // Page allocation + swap-cache insertion for every readahead page costs
     // fault-path CPU (the Linux swap path's per-page software overhead).
-    clk.Advance(cost_.fsw_page_alloc_ns + cost_.fsw_swapcache_mgmt_ns);
-    Completion c = qp_->PostRead(++wr_id_, pool_.Addr(*fid), page_va, kPageSize, clk.now());
+    fc.clock().Advance(cost_.fsw_page_alloc_ns + cost_.fsw_swapcache_mgmt_ns);
+    Completion c = qp_->PostRead(++wr_id_, pool_.Addr(*fid), page_va, kPageSize, fc.now());
     stats_.prefetch_issued++;
     stats_.bytes_fetched += kPageSize;
     swap_cache_[page_va] = CacheEntry{*fid, c.completion_time_ns};
@@ -224,7 +216,7 @@ void FastswapRuntime::Readahead(uint64_t fault_page, Clock& clk) {
 }
 
 uint8_t* FastswapRuntime::Pin(uint64_t vaddr, uint32_t len, bool write, int core) {
-  Clock& clk = clocks_[static_cast<size_t>(core)];
+  Clock& clk = clocks_[static_cast<size_t>(core)].clock();
   Pte* e = pt_.Entry(vaddr, /*create=*/true);
   if (PteTagOf(*e) == PteTag::kLocal) {
     *e |= kPteAccessed | (write ? kPteDirty : 0);
@@ -237,14 +229,21 @@ uint8_t* FastswapRuntime::Pin(uint64_t vaddr, uint32_t len, bool write, int core
 
 uint8_t* FastswapRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int core) {
   (void)len;
-  Clock& clk = clocks_[static_cast<size_t>(core)];
+  FaultClock& fc = clocks_[static_cast<size_t>(core)];
+  Clock& clk = fc.clock();
   uint64_t page_va = PageOf(vaddr);
-  LatencyBreakdown& bd = stats_.fault_breakdown;
-
-  clk.Advance(cost_.hw_exception_ns + cost_.os_trap_entry_ns);
+  auto cached = swap_cache_.find(page_va);
+  Pte* e = pt_.Entry(page_va, /*create=*/true);
+  PteTag tag = PteTagOf(*e);
+  // Only a major fault is a breakdown event: it opens the fault scope, which
+  // charges the exception and trap entry.
+  if (cached == swap_cache_.end() && tag != PteTag::kLocal && tag != PteTag::kEmpty) {
+    fc.Enter(page_va, cost_.hw_exception_ns, cost_.os_trap_entry_ns);
+  } else {
+    clk.Advance(cost_.hw_exception_ns + cost_.os_trap_entry_ns);
+  }
 
   // Minor fault: the page sits in the swap cache (filled or filling).
-  auto cached = swap_cache_.find(page_va);
   if (cached != swap_cache_.end()) {
     stats_.minor_faults++;
     ra_consumed_++;
@@ -262,16 +261,15 @@ uint8_t* FastswapRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, 
     return pool_.Data(frame) + (vaddr & (kPageSize - 1));
   }
 
-  Pte* e = pt_.Entry(page_va, /*create=*/true);
-  if (PteTagOf(*e) == PteTag::kLocal) {
+  if (tag == PteTag::kLocal) {
     // Raced with our own earlier map (page-crossing pin); just return.
     return pool_.Data(static_cast<uint32_t>(PtePayload(*e))) + (vaddr & (kPageSize - 1));
   }
 
-  if (PteTagOf(*e) == PteTag::kEmpty) {
+  if (tag == PteTag::kEmpty) {
     // Anonymous zero-fill, no swap entry yet.
     stats_.zero_fill_faults++;
-    uint32_t frame = EnsureFrame(clk, /*in_fault_path=*/true).value();
+    uint32_t frame = EnsureFrame(fc).value();
     std::memset(pool_.Data(frame), 0, kPageSize);
     clk.Advance(cost_.zero_fill_ns);
     MapFrame(page_va, frame, /*write=*/true);  // Content exists only locally.
@@ -280,32 +278,21 @@ uint8_t* FastswapRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, 
 
   // Major fault through the swap subsystem.
   stats_.major_faults++;
-  bd.CountEvent();
-  bd.Add(LatComp::kHwException, cost_.hw_exception_ns);
-  bd.Add(LatComp::kOsHandler, cost_.os_trap_entry_ns);
-
-  clk.Advance(cost_.fsw_swap_entry_ns);
-  bd.Add(LatComp::kSwapEntry, cost_.fsw_swap_entry_ns);
-
-  uint32_t frame = EnsureFrame(clk, /*in_fault_path=*/true).value();
-  clk.Advance(cost_.fsw_page_alloc_ns);
-  bd.Add(LatComp::kPageAlloc, cost_.fsw_page_alloc_ns);
-
-  clk.Advance(cost_.fsw_swapcache_mgmt_ns);
-  bd.Add(LatComp::kSwapCacheMgmt, cost_.fsw_swapcache_mgmt_ns);
+  fc.Advance(cost_.fsw_swap_entry_ns, LatComp::kSwapEntry);
+  uint32_t frame = EnsureFrame(fc).value();
+  fc.Advance(cost_.fsw_page_alloc_ns, LatComp::kPageAlloc);
+  fc.Advance(cost_.fsw_swapcache_mgmt_ns, LatComp::kSwapCacheMgmt);
 
   Completion c = qp_->PostRead(++wr_id_, pool_.Addr(frame), page_va, kPageSize, clk.now());
   stats_.bytes_fetched += kPageSize;
 
   // Readahead issues cluster fills while the demand fetch is in flight.
-  Readahead(page_va, clk);
-
-  uint64_t waited = clk.AdvanceTo(c.completion_time_ns);
-  bd.Add(LatComp::kFetch, waited);
+  Readahead(page_va, fc);
+  fc.AdvanceTo(c.completion_time_ns, LatComp::kFetch);
 
   MapFrame(page_va, frame, write);
-  clk.Advance(cost_.map_tlb_flush_ns);
-  bd.Add(LatComp::kMap, cost_.map_tlb_flush_ns);
+  fc.Advance(cost_.map_tlb_flush_ns, LatComp::kMap);
+  fc.Exit();
   return pool_.Data(frame) + (vaddr & (kPageSize - 1));
 }
 

@@ -29,6 +29,7 @@
 #include "src/pt/frame_pool.h"
 #include "src/pt/page_table.h"
 #include "src/sim/far_runtime.h"
+#include "src/sim/fault_clock.h"
 
 namespace dilos {
 
@@ -46,7 +47,7 @@ class FastswapRuntime : public FarRuntime {
   void FreeRegion(uint64_t addr, uint64_t bytes) override;
   uint8_t* Pin(uint64_t vaddr, uint32_t len, bool write, int core) override;
   using FarRuntime::clock;
-  Clock& clock(int core) override { return clocks_[static_cast<size_t>(core)]; }
+  Clock& clock(int core) override { return clocks_[static_cast<size_t>(core)].clock(); }
   RuntimeStats& stats() override { return stats_; }
   int num_cores() const override { return cfg_.num_cores; }
 
@@ -61,15 +62,15 @@ class FastswapRuntime : public FarRuntime {
   };
 
   uint8_t* HandleFault(uint64_t vaddr, uint32_t len, bool write, int core);
-  void Readahead(uint64_t fault_page, Clock& clk);
-  // Gets a frame, reclaiming if needed. Direct reclaim charges `clk`.
+  void Readahead(uint64_t fault_page, FaultClock& fc);
+  // Gets a frame, reclaiming if needed. Direct reclaim charges `fc`.
   // Nullopt only if the pool is exhausted and nothing is evictable.
-  std::optional<uint32_t> EnsureFrame(Clock& clk, bool in_fault_path);
+  std::optional<uint32_t> EnsureFrame(FaultClock& fc);
   // Evicts one page (or drops one clean swap-cache entry). If `charged`,
-  // the software cost lands on `clk`. A dirty victim's frame only becomes
+  // the software cost lands on `fc`. A dirty victim's frame only becomes
   // reusable once its synchronous swap-out write completes (frontswap
   // store semantics): it is parked in `pending_free_` until then.
-  bool EvictOne(Clock& clk, bool charged);
+  bool EvictOne(FaultClock& fc, bool charged);
   // Moves pending frames whose write-back finished by `now` into the pool.
   void DrainPendingFrees(uint64_t now);
   void MapFrame(uint64_t page_va, uint32_t frame, bool write);
@@ -80,7 +81,7 @@ class FastswapRuntime : public FarRuntime {
   PageTable pt_;
   FramePool pool_;
   RuntimeStats stats_;
-  std::vector<Clock> clocks_;
+  std::vector<FaultClock> clocks_;
   QueuePair* qp_;  // The single kernel swap queue.
 
   std::unordered_map<uint64_t, CacheEntry> swap_cache_;  // Unmapped, filled pages.
@@ -96,7 +97,6 @@ class FastswapRuntime : public FarRuntime {
 
   uint64_t next_region_ = kFarBase;
   uint64_t wr_id_ = 0;
-  uint64_t reclaim_events_ = 0;
   uint64_t direct_reclaims_ = 0;
   double reclaim_debt_ = 0.0;
 

@@ -37,7 +37,7 @@ struct FaultFiber {
   uint64_t done_ns = 0;  // Completion timestamp (includes retry/EC/backoff).
   uint64_t seq = 0;      // Admission order; tie-break for deterministic resume.
   bool write = false;    // Faulting access was a write (install sets dirty).
-  // The fault's attribution phases, carried from park to install (stamped
+  // The fault's attribution phases, carried from park to install (committed
   // only with telemetry.attribution on).
   FaultSlice slice;
 };
@@ -70,7 +70,7 @@ class FaultPipeline {
     return t;
   }
 
-  // Parks one fault with the phases its handler stamped so far. Caller must
+  // Parks one fault with the phases its handler charged so far. Caller must
   // check Full() first (the runtime stalls and harvests before admitting;
   // tests assert the refusal instead).
   bool Admit(uint64_t page_va, uint64_t done_ns, bool write, const FaultSlice& slice) {

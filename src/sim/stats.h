@@ -12,19 +12,20 @@
 
 namespace dilos {
 
-// Latency components attributed inside fault handlers. Used by the Fig. 1 /
-// Fig. 6 breakdown benchmarks. X(enumerator, printed name).
+// Fault-handler latency components (the Fig. 1 / Fig. 6 breakdowns).
+// X(enumerator, printed name, phase): a FaultClock advance charged to the
+// component also charges that FaultPhase of the open fault (fault_clock.h).
 #define DILOS_LAT_COMPS(X)                                                                         \
-  X(kHwException, "hw-exception") /* Hardware exception delivery. */                               \
-  X(kOsHandler, "os-handler")     /* Trap entry + handler dispatch. */                             \
-  X(kSwapCacheMgmt, "swap-cache") /* (Fastswap) swap cache bookkeeping. */                         \
-  X(kPageAlloc, "page-alloc")     /* Page/frame allocation. */                                     \
-  X(kSwapEntry, "swap-entry")     /* (Fastswap) swap entry + frontswap bookkeeping. */             \
-  X(kFetch, "fetch-remote")       /* Waiting for the remote page via RDMA. */                      \
-  X(kReclaim, "reclaim")          /* In-path (direct) reclamation. */                              \
-  X(kMap, "map")                  /* Mapping the fetched frame. */                                 \
-  X(kPrefetch, "prefetch-work")   /* Prefetch issue + hit tracker work in the fault path. */       \
-  X(kDecompress, "decompress")    /* Expanding a compressed-tier page on a tier hit. */
+  X(kHwException, "hw-exception", kHandler) /* Hardware exception delivery. */                     \
+  X(kOsHandler, "os-handler", kHandler)     /* Trap entry + handler dispatch. */                   \
+  X(kSwapCacheMgmt, "swap-cache", kHandler) /* (Fastswap) swap cache bookkeeping. */               \
+  X(kPageAlloc, "page-alloc", kAlloc)       /* Page/frame allocation. */                           \
+  X(kSwapEntry, "swap-entry", kHandler)     /* (Fastswap) swap entry + frontswap bookkeeping. */   \
+  X(kFetch, "fetch-remote", kWire)          /* Waiting for the remote page via RDMA. */            \
+  X(kReclaim, "reclaim", kAlloc)            /* In-path (direct) reclamation. */                    \
+  X(kMap, "map", kMap)                      /* Mapping the fetched frame. */                       \
+  X(kPrefetch, "prefetch-work", kOverlap)   /* Prefetch issue + hit tracker in the fault path. */  \
+  X(kDecompress, "decompress", kDecompress) /* Expanding a compressed-tier page on a tier hit. */
 
 enum class LatComp : uint8_t { DILOS_LAT_COMPS(DILOS_TABLE_ENUMERATOR) kCount };
 

@@ -1,21 +1,17 @@
 // Per-fault critical-path attribution (opt-in, TelemetryConfig::attribution).
 //
-// The fair-share scheduler (DESIGN.md §14) divides wire time and the
-// telemetry layer (§5 of docs/observability.md) histograms end-to-end fault
-// latency — but neither answers *why* a tenant's p99 is high: was the slow
-// fault queued in its scheduler lane, on the wire, decoding an EC stripe,
-// decompressing a tier blob, or backing off a timed-out replica? Attribution
-// stamps each choke point the fault path already crosses into a fixed-size
-// per-fault phase vector, then folds the vector into per-(tenant, phase)
-// LogHistograms at fault completion.
+// End-to-end fault latency says a tenant's p99 is high, not *why*: queued in
+// its scheduler lane, on the wire, decoding an EC stripe, decompressing a tier
+// blob, or backing off a timed-out replica? Each demand fault carries a
+// fixed-size phase vector, charged by the core's phase clock in the same call
+// that moves the clock (src/sim/fault_clock.h), and folded into per-(tenant,
+// phase) LogHistograms when the fault completes.
 //
-// The design is self-verifying: phases are defined so the *on-path* subset
-// tiles the fault's wall-clock interval exactly — for every committed fault,
-// sum(on-path phases) must equal the measured end-to-end latency within 1%
-// (it is exact by construction in the simulator; the 1% gate catches any
-// future stamping drift). `sum_violations()` counts faults that broke the
-// gate and CI asserts it stays zero across the depth-1, depth-8,
-// EC-degraded, tier-hit, and retry-storm paths (tests/test_attribution.cc).
+// The design is self-verifying: the *on-path* phases tile the fault's
+// wall-clock interval, so for every committed fault their sum must equal the
+// measured end-to-end latency within 1% (exact in the simulator; the 1% gate
+// catches drift). `sum_violations()` counts faults that broke the gate, and
+// tests/test_attribution.cc keeps it at zero on every fault path.
 //
 // A remote fault's window runs from handler entry to the TLB flush of the
 // batch that installs its page. Up to its fetch completion (`done`) it is
@@ -25,19 +21,14 @@
 // hidden work that outran the fetch, and at depth > 1 also the coalesced
 // poll, other faults' handlers, and the other installs of its batch. The
 // fiber resume that follows the flush (depth > 1) is outside every window.
-// At depth 1 a fault waits for its own completion, and its batch holds only
-// its own install.
 //
 // Two phases are deliberately *off-path* and excluded from the tiling sum:
 //   - kHeal: checksum heal-in-place is posted at the fault's wire cursor but
 //     never advances it — the repair overlaps the remainder of the fault.
 //   - kStall: a depth-limit stall that waits for *another* fault's
-//     completion (depth > 1), time that fault's own phases already cover;
-//     charging it on-path would double-count it. A stall that waits for the
-//     fault's own completion is covered by its fetch phases and is not
-//     charged at all.
-// Both are still recorded (they answer "how much healing / stalling is this
-// tenant seeing"), just not summed against end-to-end latency.
+//     completion (depth > 1), time that fault's own phases already cover. A
+//     wait for the fault's own completion is covered by its fetch phases.
+// Both are still recorded (how much healing / stalling a tenant sees).
 #ifndef DILOS_SRC_TELEMETRY_ATTRIBUTION_H_
 #define DILOS_SRC_TELEMETRY_ATTRIBUTION_H_
 
@@ -98,19 +89,12 @@ constexpr bool FaultPhaseOnPath(FaultPhase p) {
   return i < kFaultPhaseCount && kFaultPhaseOnPath[i];
 }
 
-// One fault's phase vector. Owned by the runtime's per-core fault scope, or
-// by the fault's FaultFiber (src/sim/fiber.h) from park to install — held
-// inline in both, so stamping never allocates on the fault path.
+// One fault's phase vector. Held by the core's FaultClock while the fault is
+// open, then by its FaultFiber (src/sim/fiber.h) from park to install —
+// inline in both, so charging never allocates on the fault path.
 struct FaultSlice {
   uint64_t ns[kFaultPhaseCount] = {};
   uint64_t start_ns = 0;  // Fault entry (clk at HandleFault, pre-handler advance).
-
-  void Clear() {
-    for (uint64_t& v : ns) {
-      v = 0;
-    }
-    start_ns = 0;
-  }
 
   void Add(FaultPhase p, uint64_t dt) { ns[static_cast<size_t>(p)] += dt; }
 

@@ -9,9 +9,13 @@
 //  - Phase presence: each path lights up exactly the phases its mechanism
 //    implies (kStall only when another fault is waited for, kEcDecode only
 //    degraded, ...).
-//  - The tier-corrupt fallback is ONE fault: a single kFault span (and a
-//    single attribution commit) covers the failed tier attempt plus the
-//    remote retry.
+//  - The tier-corrupt fallback is ONE fault: a single kFault span, a single
+//    attribution commit and a single breakdown event cover the failed tier
+//    attempt plus the remote retry.
+//  - The two views agree: the core-time breakdown (LatencyBreakdown) and the
+//    critical path (FaultSlice) are charged by one FaultClock
+//    (src/sim/fault_clock.h), whose charge, park and scope rules are
+//    unit-tested here too.
 //  - SLO engine unit behavior: window rollover, burn-rate math, edge-
 //    triggered multi-window alerting with hysteresis, budget exhaustion.
 //  - Runtime integration: a breach records TraceEvent::kSloBreach and forces
@@ -27,6 +31,7 @@
 
 #include "src/dilos/readahead.h"
 #include "src/dilos/runtime.h"
+#include "src/sim/fault_clock.h"
 #include "src/telemetry/attribution.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/slo.h"
@@ -279,9 +284,15 @@ TEST(AttributionInvariant, TierCorruptFallbackIsOneFaultWithOneSpan) {
   std::memset(const_cast<uint8_t*>(blob), 0x80, n);
 
   uint64_t commits_before = Attr(rt).commits();
+  uint64_t events_before = rt.stats().fault_breakdown.events();
+  uint64_t major_before = rt.stats().major_faults;
   uint64_t p = (victim - region) / kPageSize;
   EXPECT_EQ(rt.Read<uint64_t>(victim), p ^ 0xA77B1);
   EXPECT_EQ(rt.stats().tier_corrupt_drops, 1u);
+  EXPECT_EQ(rt.stats().major_faults, major_before + 1);
+  // One breakdown event for the fault, though its handler ran twice (the
+  // handler cost is still charged per entry).
+  EXPECT_EQ(rt.stats().fault_breakdown.events(), events_before + 1);
 
   // One fault span covers the failed tier attempt AND the remote retry; the
   // retry's fetch-attempt span nests inside it instead of starting a second
@@ -310,6 +321,136 @@ TEST(AttributionInvariant, TierCorruptFallbackIsOneFaultWithOneSpan) {
   // (handler charged twice — once per handler entry — still tiles exactly).
   EXPECT_EQ(Attr(rt).commits(), commits_before + 1);
   ExpectTilesExactly(rt, commits_before + 1);
+}
+
+// ---------------------------------------------------------------------------
+// The two views of fault-path time, and the clock that charges both
+// ---------------------------------------------------------------------------
+
+uint64_t BreakdownSumNs(const LatencyBreakdown& bd) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < static_cast<size_t>(LatComp::kCount); ++i) {
+    sum += bd.total_ns(static_cast<LatComp>(i));
+  }
+  return sum;
+}
+
+// A 512-page sweep after a 512-page populate into 64 frames: every read is
+// a remote fault, with no prefetcher and no guide.
+std::unique_ptr<DilosRuntime> SweepAfterReset(Fabric& fabric, uint32_t depth) {
+  DilosConfig cfg;
+  cfg.local_mem_bytes = 64 * kPageSize;
+  cfg.fault_pipeline_depth = depth;
+  cfg.telemetry.attribution = true;
+  auto rt = std::make_unique<DilosRuntime>(fabric, cfg, std::make_unique<NullPrefetcher>());
+  const uint64_t pages = 512;
+  uint64_t region = rt->AllocRegion(pages * kPageSize);
+  Populate(*rt, region, pages);
+  rt->stats().fault_breakdown.Reset();
+  EXPECT_EQ(VerifySweep(*rt, region, pages), 0u);
+  return rt;
+}
+
+TEST(AttributionViews, Depth1BreakdownIsTheCriticalPath) {
+  Fabric fabric(CostModel::Default(), 1);
+  std::unique_ptr<DilosRuntime> rt_owner = SweepAfterReset(fabric, /*depth=*/1);
+  DilosRuntime& rt = *rt_owner;
+  const LatencyBreakdown& bd = rt.stats().fault_breakdown;
+  const FaultAttribution& a = Attr(rt);
+  EXPECT_EQ(bd.events(), 512u);
+  EXPECT_EQ(bd.events(), a.commits());
+  // At depth 1 a fault's core time is its latency: 512 faults of 3164 ns.
+  EXPECT_EQ(BreakdownSumNs(bd), a.e2e(-1).sum());
+  EXPECT_EQ(BreakdownSumNs(bd), 1'619'968u);
+  EXPECT_EQ(bd.total_ns(LatComp::kHwException) + bd.total_ns(LatComp::kOsHandler),
+            a.TotalNs(FaultPhase::kHandler));
+  EXPECT_EQ(bd.total_ns(LatComp::kReclaim), a.TotalNs(FaultPhase::kAlloc));
+  EXPECT_EQ(bd.total_ns(LatComp::kMap), a.TotalNs(FaultPhase::kMap));
+  EXPECT_EQ(a.sum_violations(), 0u);
+}
+
+TEST(AttributionViews, Depth8BreakdownMapIsEachInstallPlusOneFlushPerBatch) {
+  Fabric fabric(CostModel::Default(), 1);
+  std::unique_ptr<DilosRuntime> rt_owner = SweepAfterReset(fabric, /*depth=*/8);
+  DilosRuntime& rt = *rt_owner;
+  const RuntimeStats& st = rt.stats();
+  // The breakdown takes the whole batch install; a fault's slice takes only
+  // its own install plus the flush, so the views differ here by design.
+  EXPECT_EQ(st.fault_breakdown.total_ns(LatComp::kMap),
+            st.fault_resumes * rt.cost().dilos_map_ns +
+                st.fault_batched_installs * rt.cost().map_tlb_flush_ns);
+  EXPECT_EQ(st.fault_resumes, 512u);
+  EXPECT_EQ(st.fault_batched_installs, 511u);
+  EXPECT_EQ(st.fault_breakdown.total_ns(LatComp::kMap), 76'710u);
+  EXPECT_EQ(Attr(rt).sum_violations(), 0u);
+}
+
+TEST(FaultClock, AChargeWithNoFaultOpenReachesOnlyTheBreakdown) {
+  LatencyBreakdown bd;
+  FaultClock fc(bd, nullptr);
+  fc.Advance(300, LatComp::kMap);
+  fc.AdvanceTo(1'000, LatComp::kFetch);
+  fc.Charge(FaultPhase::kWire, 0, 500);
+  fc.AwaitFetch(1'200, /*other_fault=*/true);
+  EXPECT_EQ(fc.now(), 1'200u);
+  EXPECT_EQ(bd.total_ns(LatComp::kMap), 300u);
+  EXPECT_EQ(bd.total_ns(LatComp::kFetch), 900u);
+  EXPECT_EQ(bd.events(), 0u);
+  for (uint64_t ns : fc.slice().ns) {
+    EXPECT_EQ(ns, 0u);
+  }
+  EXPECT_FALSE(fc.Exit()) << "no scope is open";
+}
+
+TEST(FaultClock, AfterTheParkOnlyAnExplicitStallReachesTheFibersSlice) {
+  LatencyBreakdown bd;
+  FaultClock fc(bd, nullptr);
+  FaultPipeline pipe(/*depth=*/2);
+  fc.Enter(0xA000, /*hw_ns=*/100, /*os_ns=*/200);
+  fc.Charge(FaultPhase::kWire, fc.now(), fc.now() + 1'000);  // The fetch's cursor.
+  fc.Park(pipe, /*done_ns=*/1'300, /*write=*/false, /*park_ns=*/0);
+  fc.Advance(50, LatComp::kPrefetch);              // Hidden work.
+  fc.Charge(FaultPhase::kWire, 0, 10'000);         // A cursor charge after the park.
+  fc.AwaitFetch(1'300, /*other_fault=*/false);     // Its own completion.
+  fc.AwaitFetch(2'000, /*other_fault=*/true);      // Another fault's.
+  EXPECT_FALSE(fc.Exit()) << "the fiber commits the slice, not the scope";
+
+  const FaultFiber* fiber = pipe.Find(0xA000);
+  ASSERT_NE(fiber, nullptr);
+  const FaultSlice& s = fiber->slice;
+  EXPECT_EQ(s.start_ns, 0u);
+  EXPECT_EQ(s.ns[static_cast<size_t>(FaultPhase::kHandler)], 300u);
+  EXPECT_EQ(s.ns[static_cast<size_t>(FaultPhase::kWire)], 1'000u);
+  EXPECT_EQ(s.ns[static_cast<size_t>(FaultPhase::kOverlap)], 0u);
+  EXPECT_EQ(s.ns[static_cast<size_t>(FaultPhase::kStall)], 700u);
+  EXPECT_EQ(fc.slice().OnPathSumNs(), 1'300u) << "the parked-from slice is untouched too";
+  EXPECT_EQ(bd.total_ns(LatComp::kPrefetch), 50u);
+  EXPECT_EQ(bd.total_ns(LatComp::kFetch), 950u + 700u);
+}
+
+TEST(FaultClock, TheInnerExitOfAReenteredFaultCommitsNothing) {
+  LatencyBreakdown bd;
+  Tracer tracer;
+  tracer.EnableSpans(16);
+  FaultClock fc(bd, &tracer);
+  fc.Enter(0xB000, /*hw_ns=*/100, /*os_ns=*/200);
+  fc.Enter(0xB000, /*hw_ns=*/100, /*os_ns=*/200);  // The handler re-entered.
+  EXPECT_FALSE(fc.Exit()) << "inner level";
+  EXPECT_EQ(tracer.total_spans(), 0u) << "the fault span is still open";
+  fc.Advance(40, LatComp::kMap);
+  EXPECT_TRUE(fc.Exit()) << "outermost and unparked: the caller commits";
+
+  EXPECT_EQ(bd.events(), 1u);
+  EXPECT_EQ(bd.total_ns(LatComp::kHwException), 200u);
+  EXPECT_EQ(bd.total_ns(LatComp::kOsHandler), 400u);
+  const FaultSlice& s = fc.slice();
+  EXPECT_EQ(s.ns[static_cast<size_t>(FaultPhase::kHandler)], 600u) << "charged per entry";
+  EXPECT_EQ(s.OnPathSumNs(), fc.now() - s.start_ns) << "the slice tiles the window";
+  std::vector<SpanRecord> spans = tracer.SpanSnapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].kind, SpanKind::kFault);
+  EXPECT_EQ(spans[0].begin_ns, 300u);
+  EXPECT_EQ(spans[0].end_ns, 640u);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ Run from anywhere: `python3 tools/check_docs.py`. Checks, stdlib only:
      repository-layout table, so the directory map cannot silently rot.
   3. docs/observability.md stays in lockstep with the code's name tables
      (read by tools/name_tables.py): every RuntimeStats counter, TraceEvent,
-     SpanKind and FaultPhase row has one doc table row, with the same
-     printed name (and, for phases, the same on-path flag), and every
+     SpanKind, FaultPhase and LatComp row has one doc table row, with the
+     same printed name (for phases, the same on-path flag; for latency
+     components, the same printed name of the phase they charge), and every
      exported SLO / attribution Prometheus series (dilos_slo_*,
      dilos_fault_*) has a row. Doc rows naming something no table defines
      also fail, so removing a table row forces removing its doc row.
@@ -86,6 +87,7 @@ DOC_TABLE_KINDS = {
     "Event": "TraceEvent",
     "Span": "SpanKind",
     "Phase": "FaultPhase",
+    "Component": "LatComp",
 }
 
 
@@ -108,7 +110,7 @@ def check_observability_drift(errors):
 
     Every row of a code table (tools/name_tables.py) needs exactly one doc
     row, every doc row must name a row that exists, and the doc's printed
-    names and on-path flags must equal the code's.
+    names, on-path flags and component phases must equal the code's.
     """
     doc_path = os.path.join(REPO, "docs", "observability.md")
     if not os.path.exists(doc_path):
@@ -148,6 +150,13 @@ def check_observability_drift(errors):
             if doc_on_path != on_path:
                 errors.append(
                     f"{where}: FaultPhase `{name}` on-path is `{on_path}`, not `{doc_on_path}`"
+                )
+        if kind == "LatComp":
+            phase = code["FaultPhase"].get(cols[1], ("?",))[0]
+            doc_phase = cells[2].strip("`") if len(cells) > 2 else ""
+            if doc_phase != phase:
+                errors.append(
+                    f"{where}: LatComp `{name}` charges phase `{phase}`, not `{doc_phase}`"
                 )
     for kind, names in code.items():
         for name in names:
