@@ -103,7 +103,7 @@ std::vector<uint8_t> NoisePage(uint32_t seed) {
 // One page folded into parity with the Cauchy coefficient of data member 1
 // in the first parity member of EC(4, 2): the cleaner's parity RMW step.
 // portable:0 runs the kernel this CPU dispatches to (named in the label),
-// portable:1 the byte loop every other CPU runs.
+// portable:1 the row loop every other CPU runs.
 void BM_XorMulInto(benchmark::State& state) {
   std::vector<uint8_t> src = NoisePage(1);
   std::vector<uint8_t> dst = NoisePage(2);
@@ -123,14 +123,20 @@ void BM_XorMulInto(benchmark::State& state) {
 }
 BENCHMARK(BM_XorMulInto)->ArgName("portable")->Arg(0)->Arg(1);
 
+// One page hashed by the integrity layer's checksum (every verified arrival
+// and checked write-back). portable:0 runs the kernel this CPU dispatches to
+// (named in the label), portable:1 the scalar loop every other CPU runs.
 void BM_PageChecksum(benchmark::State& state) {
   std::vector<uint8_t> page = NoisePage(3);
+  bool portable = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PageChecksum(page.data()));
+    benchmark::DoNotOptimize(portable ? PageChecksumPortable(page.data())
+                                      : PageChecksum(page.data()));
   }
+  state.SetLabel(portable ? "portable" : PageChecksumKernel());
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kPageSize);
 }
-BENCHMARK(BM_PageChecksum);
+BENCHMARK(BM_PageChecksum)->ArgName("portable")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace dilos

@@ -647,7 +647,7 @@ void DilosRuntime::InstallFibers(int core, uint32_t resume_span) {
   }
   // One install per page, then a single TLB/PTE flush for the batch — the
   // install cost the pipeline amortizes over the whole batch.
-  fc.Install(harvest_scratch_.size() * cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
+  fc.Advance(harvest_scratch_.size() * cost_.dilos_map_ns + cost_.map_tlb_flush_ns, LatComp::kMap);
   stats_.fault_resumes += harvest_scratch_.size();
   stats_.fault_inflight -= harvest_scratch_.size();
   stats_.fault_batched_installs++;
@@ -985,11 +985,11 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       *pt_.Entry(page_va, true) = MakeFetchingPte(frame);
       FaultPipeline& pipe = pipelines_[static_cast<size_t>(core)];
       if (pipe.Full()) {
-        // Defensive: the end-of-handler stall below keeps the pipeline
-        // under depth between faults, so admission normally never waits.
-        stats_.fault_pipeline_stalls++;
-        fc.AwaitFetch(pipe.OldestDoneNs(), /*other_fault=*/true);
-        HarvestFaultPipeline(core, clk.now());
+        // Only this case admits, and its end-of-handler stall below leaves
+        // fewer than depth fibers parked, so a full pipeline here is a bug.
+        std::fprintf(stderr, "fault pipeline full at admission: core %d, depth %u\n", core,
+                     static_cast<unsigned>(pipe.depth()));
+        std::abort();
       }
       // The fiber now carries the slice. Fiber switch costs exist only when
       // there is another fiber to switch to; at depth 1 the fault costs

@@ -48,11 +48,22 @@ const GfTables& Tables() {
   return t;
 }
 
-// The byte loop both kernels share: the whole of the portable kernel, and
-// the AVX2 kernel's tail of fewer than 32 bytes.
+// Two nibble lookups per byte: the AVX2 kernel's tail of fewer than 32 bytes.
 void XorMulBytes(uint8_t* dst, const uint8_t* src, const uint8_t* nib, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     dst[i] ^= static_cast<uint8_t>(nib[src[i] & 15] ^ nib[16 + (src[i] >> 4)]);
+  }
+}
+
+// The portable kernel: the coefficient's 256-entry product row, built from
+// the same nibble tables once per call, then one lookup per byte.
+void XorMulRow(uint8_t* dst, const uint8_t* src, const uint8_t* nib, size_t n) {
+  uint8_t row[256] = {};
+  for (size_t s = 0; s < 256; ++s) {
+    row[s] = static_cast<uint8_t>(nib[s & 15] ^ nib[16 + (s >> 4)]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    dst[i] ^= row[src[i]];
   }
 }
 
@@ -82,7 +93,7 @@ __attribute__((target("avx2"))) void XorMulAvx2(uint8_t* dst, const uint8_t* src
 using XorMulKernelFn = void (*)(uint8_t*, const uint8_t*, const uint8_t*, size_t);
 
 struct XorMulDispatch {
-  XorMulKernelFn fn = XorMulBytes;
+  XorMulKernelFn fn = XorMulRow;
   const char* name = "portable";
 
   XorMulDispatch() {
@@ -146,7 +157,7 @@ void ECCodec::XorMulInto(uint8_t* dst, const uint8_t* src, uint8_t coef, size_t 
 }
 
 void ECCodec::XorMulIntoPortable(uint8_t* dst, const uint8_t* src, uint8_t coef, size_t n) {
-  XorMulBytes(dst, src, Tables().nibble[coef].data(), n);
+  XorMulRow(dst, src, Tables().nibble[coef].data(), n);
 }
 
 const char* ECCodec::XorMulKernel() { return Dispatch().name; }

@@ -22,7 +22,8 @@
 // by a fixed coefficient c is linear over GF(2), so c*s = c*(s & 15) ^
 // c*(s & 0xF0), and each half is a lookup in a 16-entry table built once per
 // coefficient. On a CPU with AVX2 one vpshufb does 32 such lookups at once;
-// every other CPU runs a byte loop over the same tables. The CPU picks the
+// every other CPU first builds the coefficient's 256-entry product row from
+// the same tables, then makes one lookup per byte. The CPU picks the
 // path once at run time (__builtin_cpu_supports), not a build flag or a
 // setting, so one binary is fast where it can be and correct everywhere.
 // Both paths are byte-identical: test_ec checks each against GfMul for
@@ -68,7 +69,7 @@ class ECCodec {
   // parity p keeps the stripe consistent without touching other members.
   // Runs the kernel XorMulKernel() names (see the file comment).
   static void XorMulInto(uint8_t* dst, const uint8_t* src, uint8_t coef, size_t n);
-  // The same product through the portable byte loop on any CPU, so tests
+  // The same product through the portable row loop on any CPU, so tests
   // and benches reach it where XorMulInto would take the AVX2 path.
   static void XorMulIntoPortable(uint8_t* dst, const uint8_t* src, uint8_t coef, size_t n);
   // "avx2" or "portable": the kernel XorMulInto runs on this CPU.

@@ -34,38 +34,24 @@
 
 namespace dilos {
 
-// One step of a PageChecksum lane: xor in a word, multiply by an odd
-// constant, xor-shift. Each part is a bijection of `h` for a fixed `w`, and
-// the xor makes the result differ for any two words.
-inline uint64_t ChecksumStep(uint64_t h, uint64_t w) {
-  h ^= w;
-  h *= 0x100000001B3ULL;
-  return h ^ (h >> 29);
-}
-
-// 64-bit FNV-1a-style mix over the page — the stand-in for the CRC an RNIC
-// computes at line rate. Word i feeds lane i mod 4, so the four independent
-// multiply chains overlap in the pipeline (kept in scalars: an array of
-// lanes is not kept in registers at -O2), and the lanes fold together with
-// the same step. Since every step is a bijection of its lane, a change
-// confined to one 8-byte word, such as any single flipped bit, always
-// changes the result.
-inline uint64_t PageChecksum(const uint8_t* data) {
-  auto word = [data](uint32_t i) {
-    uint64_t w;
-    std::memcpy(&w, data + i, 8);
-    return w;
-  };
-  constexpr uint64_t kBasis = 0xCBF29CE484222325ULL;
-  uint64_t a = kBasis, b = kBasis ^ 1, c = kBasis ^ 2, d = kBasis ^ 3;
-  for (uint32_t i = 0; i < kPageSize; i += 32) {
-    a = ChecksumStep(a, word(i));
-    b = ChecksumStep(b, word(i + 8));
-    c = ChecksumStep(c, word(i + 16));
-    d = ChecksumStep(d, word(i + 24));
-  }
-  return ChecksumStep(ChecksumStep(ChecksumStep(a, b), c), d);
-}
+// 64-bit checksum of a full page: the stand-in for the CRC an RNIC computes
+// at line rate (see the file comment; src/recovery/integrity.cc). Word i
+// feeds lane i mod 16; each lane step xors the word in, multiplies by an odd
+// constant and xor-shifts, and the lanes fold together with the same step.
+// Every lane step is a bijection of its lane and the fold is bijective in
+// each lane, so a change confined to one 8-byte word, such as any single
+// flipped bit, always changes the result. On a CPU with AVX2 four vectors of
+// four lanes run the steps, the multiply done as two shift-adds; every other
+// CPU runs eight scalar lanes at a time. The CPU picks the path once per
+// process (__builtin_cpu_supports), not a build flag or a setting, so one
+// binary is fast where it can be and correct everywhere; both paths return
+// the same value, which test_chaos checks.
+uint64_t PageChecksum(const uint8_t* data);
+// The same value through the portable loop on any CPU, so tests and benches
+// reach it where PageChecksum would take the AVX2 path.
+uint64_t PageChecksumPortable(const uint8_t* data);
+// "avx2" or "portable": the kernel PageChecksum runs on this CPU.
+const char* PageChecksumKernel();
 
 // Verifies `bytes` (a full page received for `page_va`) against the checksum
 // installed on `store`. True when no checksum exists — nothing to verify

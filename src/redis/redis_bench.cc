@@ -1,6 +1,9 @@
 #include "src/redis/redis_bench.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 namespace dilos {
 
@@ -13,8 +16,34 @@ std::string RedisBench::KeyName(uint64_t i) {
 std::string RedisBench::MakeValue(uint32_t size, uint64_t salt) {
   std::string v(size, '\0');
   uint64_t x = salt * 0x9E3779B97F4A7C15ULL + 1;
-  for (uint32_t i = 0; i < size; ++i) {
-    v[i] = static_cast<char>('A' + ((x >> (i % 48)) + i) % 26);
+  // Byte i is 'A' + ((x >> (i % 48)) + i) % 26. The sum wraps past 2^64 only
+  // for a shift of 0 and x within `size` of the top; then take it byte by
+  // byte.
+  if (x > UINT64_MAX - size) {
+    for (uint32_t i = 0; i < size; ++i) {
+      v[i] = static_cast<char>('A' + ((x >> (i % 48)) + i) % 26);
+    }
+    return v;
+  }
+  // Otherwise byte i is 'A' + ((x >> (i % 48)) % 26 + i % 26) % 26, which
+  // repeats every lcm(48, 26) = 624 bytes: fill one period from counters,
+  // then double the filled prefix.
+  constexpr uint32_t kPeriod = 624;
+  uint32_t residue[48] = {};
+  for (uint32_t r = 0; r < 48; ++r) {
+    residue[r] = static_cast<uint32_t>((x >> r) % 26);
+  }
+  uint32_t filled = std::min(size, kPeriod);
+  for (uint32_t i = 0, r = 0, m = 0; i < filled; ++i) {
+    uint32_t sum = residue[r] + m;
+    v[i] = static_cast<char>('A' + (sum >= 26 ? sum - 26 : sum));
+    r = r == 47 ? 0 : r + 1;
+    m = m == 25 ? 0 : m + 1;
+  }
+  while (filled < size) {
+    uint32_t n = std::min(filled, size - filled);
+    std::memcpy(v.data() + filled, v.data(), n);
+    filled += n;
   }
   return v;
 }

@@ -104,14 +104,6 @@ class FaultClock {
     }
   }
 
-  // A harvest's batched install: breakdown map only. An installed fault's map
-  // and overlap are set when its slice commits, and the open fault (a
-  // pipe-full harvest runs inside one) does not wait on it.
-  void Install(uint64_t ns) {
-    clk_.Advance(ns);
-    bd_->Add(LatComp::kMap, ns);
-  }
-
   // Direct reclaim. A zero-fill takes its frame with no fault open and is no
   // breakdown event: only the clock moves.
   void Reclaim(uint64_t ns) { depth_ == 0 ? clk_.Advance(ns) : Advance(ns, LatComp::kReclaim); }

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/dilos/readahead.h"
@@ -265,24 +266,57 @@ TEST(ChaosIntegrity, ScrubberRepairsLatentRotWithoutADemandRead) {
   EXPECT_GT(rt.stats().scrub_pages, 0u);
 }
 
-TEST(ChaosIntegrity, PageChecksumCatchesEverySingleBitFlip) {
-  std::vector<uint8_t> random_page(kPageSize);
-  Rng rng(7);
-  for (uint8_t& b : random_page) {
+std::vector<uint8_t> RandomPage(uint64_t seed) {
+  std::vector<uint8_t> page(kPageSize);
+  Rng rng(seed);
+  for (uint8_t& b : page) {
     b = static_cast<uint8_t>(rng.Next());
   }
+  return page;
+}
+
+TEST(ChaosIntegrity, PageChecksumCatchesEverySingleBitFlip) {
+  std::vector<uint8_t> random_page = RandomPage(7);
   std::vector<uint8_t> zero_page(kPageSize, 0);
-  for (std::vector<uint8_t>* page : {&random_page, &zero_page}) {
-    const uint64_t sum = PageChecksum(page->data());
-    uint64_t missed = 0;
-    for (uint32_t bit = 0; bit < kPageSize * 8; ++bit) {
-      (*page)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      missed += PageChecksum(page->data()) == sum ? 1 : 0;
-      (*page)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  for (auto checksum : {PageChecksum, PageChecksumPortable}) {
+    const char* kernel = checksum == PageChecksum ? PageChecksumKernel() : "portable";
+    for (std::vector<uint8_t>* page : {&random_page, &zero_page}) {
+      const uint64_t sum = checksum(page->data());
+      uint64_t missed = 0;
+      for (uint32_t bit = 0; bit < kPageSize * 8; ++bit) {
+        (*page)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        missed += checksum(page->data()) == sum ? 1 : 0;
+        (*page)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      }
+      EXPECT_EQ(missed, 0u) << kernel << (page == &zero_page ? " zero page" : " random page");
+      EXPECT_EQ(checksum(page->data()), sum);
     }
-    EXPECT_EQ(missed, 0u) << (page == &zero_page ? "zero page" : "random page");
-    EXPECT_EQ(PageChecksum(page->data()), sum);
   }
+}
+
+// The dispatched kernel (AVX2 where the CPU has it) and the portable loop
+// return the same value: on whole pages, and on each of a random page's 512
+// single-word changes, which reach every lane of every vector step.
+TEST(ChaosIntegrity, PageChecksumKernelsAgree) {
+  std::vector<uint8_t> random_page = RandomPage(13);
+  for (const std::vector<uint8_t>& page :
+       {random_page, std::vector<uint8_t>(kPageSize, 0), std::vector<uint8_t>(kPageSize, 0xFF)}) {
+    EXPECT_EQ(PageChecksum(page.data()), PageChecksumPortable(page.data()))
+        << PageChecksumKernel();
+  }
+  Rng rng(17);
+  std::set<uint64_t> sums{PageChecksumPortable(random_page.data())};
+  for (uint32_t word = 0; word < kPageSize / 8; ++word) {
+    std::vector<uint8_t> changed = random_page;
+    uint64_t w = rng.Next() | 1;  // Nonzero: the word really changes.
+    for (uint32_t b = 0; b < 8; ++b) {
+      changed[word * 8 + b] ^= static_cast<uint8_t>(w >> (8 * b));
+    }
+    const uint64_t sum = PageChecksumPortable(changed.data());
+    ASSERT_EQ(PageChecksum(changed.data()), sum) << PageChecksumKernel() << " word " << word;
+    sums.insert(sum);
+  }
+  EXPECT_EQ(sums.size(), kPageSize / 8 + 1) << "every one-word change moves the checksum";
 }
 
 // One checked write of a random page to node 0 under a bit-flip plan of
@@ -290,15 +324,11 @@ TEST(ChaosIntegrity, PageChecksumCatchesEverySingleBitFlip) {
 struct CheckedWrite {
   Fabric fabric{CostModel::Default(), 1};
   RuntimeStats stats;
-  std::vector<uint8_t> source = std::vector<uint8_t>(kPageSize);
+  std::vector<uint8_t> source = RandomPage(11);
   uint64_t page_va = kFarBase + 5 * kPageSize;
   uint64_t posts = 0;
 
   explicit CheckedWrite(double flip_p) {
-    Rng rng(11);
-    for (uint8_t& b : source) {
-      b = static_cast<uint8_t>(rng.Next());
-    }
     FaultPlan plan;
     plan.specs.push_back({0, FaultKind::kBitFlip, flip_p, 1.0, 0, UINT64_MAX});
     fabric.set_fault_plan(plan);

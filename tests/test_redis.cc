@@ -2,7 +2,10 @@
 // structure, the benchmark driver, and behavior under memory pressure.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/dilos/readahead.h"
 #include "src/dilos/runtime.h"
@@ -153,6 +156,41 @@ TEST_F(RedisPressureTest, LrangeWorkload) {
   RedisBenchResult res = bench.RunLrange(100);
   EXPECT_EQ(res.ops, 100u);
   EXPECT_GT(res.latency.MeanNs(), 0.0);
+}
+
+// MakeValue's periodic fill against the byte-by-byte definition, across the
+// 624-byte period's edges and for salts whose key x sits just below 2^64,
+// where the sum wraps and the fill must fall back to the definition.
+TEST(RedisBenchValue, MakeValueMatchesTheByteLoop) {
+  auto reference = [](uint32_t size, uint64_t salt) {
+    std::string v(size, '\0');
+    uint64_t x = salt * 0x9E3779B97F4A7C15ULL + 1;
+    for (uint32_t i = 0; i < size; ++i) {
+      v[i] = static_cast<char>('A' + ((x >> (i % 48)) + i) % 26);
+    }
+    return v;
+  };
+  // The multiplier is odd, so it has an inverse mod 2^64 (Newton's method):
+  // salt = (x - 1) * inverse reaches any key x.
+  uint64_t inverse = 1;
+  for (int i = 0; i < 6; ++i) {
+    inverse *= 2 - 0x9E3779B97F4A7C15ULL * inverse;
+  }
+  std::vector<uint64_t> salts;
+  for (uint64_t salt = 0; salt < 3000; ++salt) {
+    salts.push_back(salt);
+  }
+  for (uint64_t d = 0; d < 300; ++d) {
+    salts.push_back((UINT64_MAX - d - 1) * inverse);
+  }
+  ASSERT_EQ(salts.back() * 0x9E3779B97F4A7C15ULL + 1, UINT64_MAX - 299);
+  uint64_t mismatches = 0;
+  for (uint32_t size : {0u, 1u, 90u, 128u, 623u, 624u, 625u, 1248u, 4096u, 131072u}) {
+    for (uint64_t salt : salts) {
+      mismatches += RedisBench::MakeValue(size, salt) == reference(size, salt) ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace
