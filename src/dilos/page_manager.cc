@@ -293,26 +293,16 @@ bool PageManager::EcOldContent(uint64_t page_va, uint8_t* out, uint64_t now) {
         router_.NodeQp(/*core=*/0, CommChannel::kManager, node)
             ->PostRead(++wr_id_, reinterpret_cast<uint64_t>(out), page_va, kPageSize, now);
     if (c.status == WcStatus::kSuccess) {
-      const PageStore& store = router_.fabric().node(node).store();
-      if (VerifyPageBytes(store, page_va, out)) {
-        if (!PageIsStale(store, page_va, router_.PageGeneration(page_va))) {
-          stats_.ec_parity_bytes += kPageSize;
-          return true;
-        }
-        // Verified-but-stale home copy: the last data write never landed
-        // (dropped behind a partition), so the content parity agrees on is
-        // the reconstructed one, not these old bytes.
-        stats_.stale_copies_detected++;
-        tracer_->Record(c.completion_time_ns, TraceEvent::kStaleCopy, page_va,
-                        static_cast<uint32_t>(node));
-      } else {
-        // A rotted home copy is not the old content parity was encoded from —
-        // folding a delta against it would corrupt every parity member. Fall
-        // through to reconstruction, which yields the content parity agrees
-        // on.
-        stats_.checksum_mismatches++;
-        tracer_->Record(c.completion_time_ns, TraceEvent::kChecksumMismatch, page_va,
-                        /*detail=*/0);
+      // A corrupt home copy (rot, or a flip on this read — also of a page the
+      // store never held) or a stale one whose last data write never landed
+      // is not the old content parity was encoded from: folding a delta
+      // against it would corrupt every parity member. Reconstruction yields
+      // the content parity agrees on.
+      if (JudgeCopy(router_.fabric().node(node).store(), node, page_va, out,
+                    router_.PageGeneration(page_va), c.completion_time_ns, stats_,
+                    tracer_) == CopyVerdict::kFresh) {
+        stats_.ec_parity_bytes += kPageSize;
+        return true;
       }
     } else {
       router_.ReportOpFailure(node, c.completion_time_ns);
@@ -366,29 +356,19 @@ void PageManager::EcUpdateParity(uint64_t page_va, const uint8_t* old_page,
       router_.ReportOpFailure(node, r.completion_time_ns);
       continue;
     }
-    bool healthy = VerifyPageBytes(pstore, parity_va, pbuf);
     uint32_t expected_gen = router_.PageGeneration(parity_va);
-    bool stale = healthy && PageIsStale(pstore, parity_va, expected_gen);
     // Parity generations use bump-on-attempt too: the expected generation
     // rises before every RMW write, so a parity write dropped behind a
     // partition leaves that member detectably behind for the next round.
     uint32_t pgen = expected_gen + 1;
-    if (!healthy || stale) {
+    if (JudgeCopy(pstore, node, parity_va, pbuf, expected_gen, r.completion_time_ns, stats_,
+                  tracer_) != CopyVerdict::kFresh) {
       // Rotted (or flipped-in-flight) parity — or a verified-but-stale one
       // whose last RMW write never landed: folding the delta into it and
       // writing back under a fresh checksum would *launder* the bad content
       // into verified-and-fresh state. Regenerate this parity page from the
       // current members instead — we run after the data write landed, so the
       // encode is consistent with the new content.
-      if (!healthy) {
-        stats_.checksum_mismatches++;
-        tracer_->Record(r.completion_time_ns, TraceEvent::kChecksumMismatch, parity_va,
-                        /*detail=*/0);
-      } else {
-        stats_.stale_copies_detected++;
-        tracer_->Record(r.completion_time_ns, TraceEvent::kStaleCopy, parity_va,
-                        static_cast<uint32_t>(node));
-      }
       uint64_t cursor = r.completion_time_ns;
       if (!EcReconstructPage(router_, *cost_, /*core=*/0, CommChannel::kManager, stripe,
                              pmember, page_idx, pbuf, &cursor, &wr_id_, stats_, tracer_)) {
@@ -459,8 +439,9 @@ void PageManager::ScrubPage(uint64_t page_va, uint64_t now) {
     if (!router_.Readable(node, granule)) {
       continue;  // Dead or mid-rebuild: the repair manager owns that copy.
     }
-    PageStore& store = router_.fabric().node(node).store();
-    if (!store.HasChecksum(page_va >> kPageShift)) {
+    const PageStore& store = router_.fabric().node(node).store();
+    const StoredPage* rec = store.Find(page_va >> kPageShift);
+    if (rec == nullptr || !rec->has_checksum) {
       continue;  // Never fully written back; nothing to verify against.
     }
     stats_.scrub_pages++;
@@ -472,29 +453,17 @@ void PageManager::ScrubPage(uint64_t page_va, uint64_t now) {
       router_.ReportOpFailure(node, c.completion_time_ns);
       continue;
     }
-    if (VerifyPageBytes(store, page_va, scrub_buf_)) {
-      if (PageIsStale(store, page_va, router_.PageGeneration(page_va))) {
-        // Content-valid but generation-lagged: this copy missed a write-back
-        // round behind a partition or a dropped write. Heal it from a fresh
-        // replica before a failover could make it the only copy.
-        stats_.stale_copies_detected++;
-        tracer_->Record(c.completion_time_ns, TraceEvent::kStaleCopy, page_va,
-                        static_cast<uint32_t>(node));
-        ScrubRepair(page_va, node, c.completion_time_ns);
-      }
-      continue;  // Content-healthy copy.
+    CopyVerdict v = JudgeCopy(store, node, page_va, scrub_buf_, router_.PageGeneration(page_va),
+                              c.completion_time_ns, stats_, tracer_);
+    // A stale copy missed a write-back round behind a partition or a dropped
+    // write: heal it from a fresh replica before a failover could make it the
+    // only copy. For a corrupt one, a node-local re-hash of the *stored*
+    // bytes separates a bit flipped on the scrub read itself (stored copy
+    // fine — nothing to repair) from genuine at-rest rot.
+    if (v == CopyVerdict::kStale ||
+        (v == CopyVerdict::kCorrupt && JudgeBytes(rec, rec->bytes, 0) == CopyVerdict::kCorrupt)) {
+      ScrubRepair(page_va, node, c.completion_time_ns);
     }
-    stats_.checksum_mismatches++;
-    tracer_->Record(c.completion_time_ns, TraceEvent::kChecksumMismatch, page_va,
-                    /*detail=*/0);
-    // Node-local re-hash of the *stored* bytes separates a bit flipped on
-    // the scrub read itself (stored copy fine — nothing to repair) from
-    // genuine at-rest rot.
-    if (PageChecksum(store.PageData(page_va >> kPageShift)) ==
-        store.Checksum(page_va >> kPageShift)) {
-      continue;
-    }
-    ScrubRepair(page_va, node, c.completion_time_ns);
   }
 }
 
@@ -529,8 +498,9 @@ void PageManager::ScrubRepair(uint64_t page_va, int node, uint64_t now) {
         continue;
       }
       const PageStore& sstore = router_.fabric().node(src).store();
-      if (!sstore.HasChecksum(page_va >> kPageShift) ||
-          PageIsStale(sstore, page_va, router_.PageGeneration(page_va))) {
+      const StoredPage* rec = sstore.Find(page_va >> kPageShift);
+      if (rec == nullptr || !rec->has_checksum ||
+          !CopyIsCurrent(rec, router_.PageGeneration(page_va))) {
         continue;
       }
       Completion c = router_.NodeQp(/*core=*/0, CommChannel::kManager, src)
@@ -541,13 +511,13 @@ void PageManager::ScrubRepair(uint64_t page_va, int node, uint64_t now) {
         continue;
       }
       cursor = c.completion_time_ns;
-      if (VerifyPageBytes(sstore, page_va, good)) {
+      // The source was picked current; the read judges its content.
+      if (JudgeCopy(sstore, src, page_va, good, /*expected_gen=*/0, cursor, stats_, tracer_) ==
+          CopyVerdict::kFresh) {
         have_good = true;
-        gen = sstore.Generation(page_va >> kPageShift);
+        gen = rec->generation;
         break;
       }
-      stats_.checksum_mismatches++;
-      tracer_->Record(cursor, TraceEvent::kChecksumMismatch, page_va, /*detail=*/0);
     }
   }
   if (!have_good) {

@@ -330,32 +330,10 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
     fc.Charge(FaultPhase::kLaneWait, post_ns, post_ns + c.queue_ns);
     fc.Charge(FaultPhase::kWire, post_ns + c.queue_ns, *cursor_ns);
     if (c.status == WcStatus::kSuccess) {
-      if (segs == nullptr &&
-          !VerifyPageBytes(fabric_.node(t.node).store(), page_va,
-                           reinterpret_cast<const uint8_t*>(frame_addr))) {
-        // Corrupt arrival. First mismatch from a node: assume a wire flip
-        // and re-read (possibly the same replica). A second mismatch from
-        // the same node means its *stored* copy rotted: exclude it, fetch
-        // from another replica (or EC survivors), then heal it.
-        stats_.checksum_mismatches++;
-        stats_.refetches++;
-        ++mismatch_attempts;
-        poisoned = true;
-        tracer_.Record(*cursor_ns, TraceEvent::kChecksumMismatch, page_va, /*detail=*/0);
-        if (t.node == last_mismatch) {
-          exclude = t.node;
-        }
-        last_mismatch = t.node;
-        continue;
-      }
-      if (segs == nullptr && exclude < 0 &&
-          !fabric_.node(t.node).store().HasChecksum(page_va >> kPageShift) &&
-          ReplicaHasChecksumElsewhere(page_va, t.node)) {
+      if (segs == nullptr && exclude < 0 && CopyIsUnverifiable(page_va, t.node)) {
         // Unverifiable arrival from a replica that should have been cleaned:
-        // some other replica holds a checksum for this page, so a full
-        // write-back happened — this copy missed it (dropped by a partition
-        // or a transient fault). Its bytes are stale or zero; steer to a
-        // verifiable copy instead of trusting them.
+        // its bytes are stale or zero; steer to a verifiable copy instead of
+        // trusting them.
         stats_.refetches++;
         ++mismatch_attempts;
         poisoned = true;
@@ -364,23 +342,31 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
         exclude = t.node;
         continue;
       }
-      if (PageIsStale(fabric_.node(t.node).store(), page_va,
-                      router_.PageGeneration(page_va))) {
-        // Verified-but-stale arrival: the copy's checksum matches its bytes,
-        // but its write generation lags the cleaner's expected one — it
-        // missed at least one full write-back round (dropped behind a
-        // partition). Steer to a fresh replica or the EC survivors; the
-        // successful fetch then heals this copy with current bytes and
-        // generation. Generations are pure store-side metadata, so unlike
-        // the checksum checks above this applies to vectored (action-PTE)
-        // refetches too — only the byte-level heal stays full-page-only.
-        stats_.stale_copies_detected++;
+      // A vectored (action-PTE) refetch is judged for freshness only: the
+      // generation is store-side metadata, the checksum covers a full page.
+      CopyVerdict v = JudgeCopy(fabric_.node(t.node).store(), t.node, page_va,
+                                segs == nullptr ? reinterpret_cast<const uint8_t*>(frame_addr)
+                                                : nullptr,
+                                router_.PageGeneration(page_va), *cursor_ns, stats_, &tracer_);
+      if (v != CopyVerdict::kFresh) {
         stats_.refetches++;
         ++mismatch_attempts;
         poisoned = true;
-        tracer_.Record(*cursor_ns, TraceEvent::kStaleCopy, page_va,
-                       static_cast<uint32_t>(t.node));
-        exclude = t.node;
+        if (v == CopyVerdict::kStale) {
+          // Verified-but-stale: the copy missed at least one full write-back
+          // round (dropped behind a partition). Steer to a fresh replica or
+          // the EC survivors; the successful fetch then heals this copy.
+          exclude = t.node;
+        } else {
+          // Corrupt. First mismatch from a node: assume a wire flip and
+          // re-read (possibly the same replica). A second mismatch from the
+          // same node means its *stored* copy rotted: exclude it, fetch from
+          // another replica (or EC survivors), then heal it.
+          if (t.node == last_mismatch) {
+            exclude = t.node;
+          }
+          last_mismatch = t.node;
+        }
         continue;
       }
       poisoned = false;
@@ -481,12 +467,15 @@ void DilosRuntime::HealCorruptReplica(uint64_t page_va, int node, const uint8_t*
                  static_cast<uint32_t>(node));
 }
 
-bool DilosRuntime::ReplicaHasChecksumElsewhere(uint64_t page_va, int except) {
+bool DilosRuntime::CopyIsUnverifiable(uint64_t page_va, int node) {
+  uint64_t page = page_va >> kPageShift;
+  if (fabric_.node(node).store().HasChecksum(page)) {
+    return false;
+  }
   router_.ReplicaNodes(page_va, &replica_scratch_);
   uint64_t granule = ShardRouter::GranuleOf(page_va);
   for (int n : replica_scratch_) {
-    if (n != except && router_.Readable(n, granule) &&
-        fabric_.node(n).store().HasChecksum(page_va >> kPageShift)) {
+    if (n != node && router_.Readable(n, granule) && fabric_.node(n).store().HasChecksum(page)) {
       return true;
     }
   }
@@ -741,34 +730,22 @@ bool DilosRuntime::StartPrefetch(uint64_t page_va, uint64_t issue_ns, int core,
     pool_.Free(*fid);
     return false;
   }
-  if (!VerifyPageBytes(fabric_.node(target.node).store(), page_va, pool_.Data(*fid))) {
-    // A corrupt speculative fill is simply dropped: the page stays remote
-    // and the demand path (which owns the refetch/heal machinery) serves it.
-    stats_.checksum_mismatches++;
-    tracer_.Record(c.completion_time_ns, TraceEvent::kChecksumMismatch, page_va,
-                   /*detail=*/0);
-    pool_.Free(*fid);
-    return false;
-  }
-  if (!fabric_.node(target.node).store().HasChecksum(page_va >> kPageShift) &&
-      ReplicaHasChecksumElsewhere(page_va, target.node)) {
-    // Unverifiable speculative fill from a copy that missed its write-back
-    // (another replica has the checksum): drop it, same as a mismatch.
+  // A speculative fill that is not fresh is dropped: the page stays remote
+  // and the demand path (which owns the refetch/heal machinery) serves it.
+  if (CopyIsUnverifiable(page_va, target.node)) {
     stats_.refetches++;
     tracer_.Record(c.completion_time_ns, TraceEvent::kChecksumMismatch, page_va,
                    /*detail=*/2);
     pool_.Free(*fid);
     return false;
   }
-  if (PageIsStale(fabric_.node(target.node).store(), page_va,
-                  router_.PageGeneration(page_va))) {
-    // Generation-lagged speculative fill: verified bytes from before the
-    // last write-back round. Drop it and leave the page to the demand path,
-    // which steers to a fresh copy and heals this one.
-    stats_.stale_copies_detected++;
-    stats_.refetches++;
-    tracer_.Record(c.completion_time_ns, TraceEvent::kStaleCopy, page_va,
-                   static_cast<uint32_t>(target.node));
+  CopyVerdict v =
+      JudgeCopy(fabric_.node(target.node).store(), target.node, page_va, pool_.Data(*fid),
+                router_.PageGeneration(page_va), c.completion_time_ns, stats_, &tracer_);
+  if (v != CopyVerdict::kFresh) {
+    if (v == CopyVerdict::kStale) {
+      stats_.refetches++;  // A corrupt fill is not counted as a refetch.
+    }
     pool_.Free(*fid);
     return false;
   }

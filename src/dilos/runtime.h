@@ -210,12 +210,11 @@ class DilosRuntime : public FarRuntime {
   // takes it as its off-path kHeal phase.
   void HealCorruptReplica(uint64_t page_va, int node, const uint8_t* good, uint64_t issue_ns,
                           int core);
-  // True when a readable replica of `page_va` other than `except` holds an
-  // installed checksum for it. Used to distrust an *unverifiable* arrival:
-  // a copy with no checksum on a page some other replica cleaned in full is
-  // a copy that missed its write-back (e.g. a partitioned node), not a page
-  // that was never written.
-  bool ReplicaHasChecksumElsewhere(uint64_t page_va, int except);
+  // True when `node`'s copy of `page_va` has no checksum while a readable
+  // replica elsewhere holds one: some full write-back happened that this
+  // copy missed (e.g. a partitioned node), so its arrival is unverifiable
+  // rather than a page that was never written.
+  bool CopyIsUnverifiable(uint64_t page_va, int node);
   // Cleaner/reclaimer plus recovery, one background hook.
   void Background(uint64_t now, uint64_t pinned_va);
   // Marks `page_va` fetching and posts an async read at `issue_ns` on the
@@ -318,7 +317,7 @@ class DilosRuntime : public FarRuntime {
   FlightRecorder* flight_ = nullptr;
   FaultAttribution* attr_ = nullptr;
   SloEngine* slo_ = nullptr;
-  std::vector<int> replica_scratch_;  // ReplicaHasChecksumElsewhere scratch.
+  std::vector<int> replica_scratch_;  // CopyIsUnverifiable scratch.
   std::vector<uint64_t> prefetch_scratch_;  // RunPrefetcher candidate pages.
 
   // In-flight prefetches: page vaddr -> completion time. A parked demand

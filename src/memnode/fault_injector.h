@@ -18,8 +18,8 @@
 #ifndef DILOS_SRC_MEMNODE_FAULT_INJECTOR_H_
 #define DILOS_SRC_MEMNODE_FAULT_INJECTOR_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
 #include "src/memnode/memory_node.h"
@@ -172,34 +172,37 @@ class FaultInjector {
   uint64_t injected_rots() const { return injected_rots_; }
 
  private:
-  // Flips one bit of one materialized, checksummed page on `node` — the
-  // checksum stays stale, modeling DRAM rot under the node's CRC metadata.
-  // Only checksummed pages are eligible: a page without a checksum has
-  // indeterminate content by contract (vectored write-backs) and rotting it
-  // would be undetectable by design, not by bug.
+  // Flips one bit of one checksummed page on `node` — the checksum stays
+  // stale, modeling DRAM rot under the node's CRC metadata. Only checksummed
+  // pages are eligible: a page without a checksum has indeterminate content
+  // by contract (vectored write-backs) and rotting it would be undetectable
+  // by design, not by bug. The victim is the NextBelow(count)-th checksummed
+  // page in ascending page order, so it depends on the seed and the stored
+  // pages, never on hash-table layout.
   void RotStoredPage(int node) {
     if (node < 0 || node >= static_cast<int>(nodes_.size())) {
       return;
     }
     PageStore& store = nodes_[static_cast<size_t>(node)]->store();
-    const auto& sums = store.checksums();
-    if (sums.empty()) {
+    rot_scratch_.clear();
+    for (const auto& [page, rec] : store.pages()) {
+      if (rec.has_checksum) {
+        rot_scratch_.push_back(page);
+      }
+    }
+    if (rot_scratch_.empty()) {
       return;
     }
-    auto it = sums.begin();
-    std::advance(it, static_cast<long>(rng_.NextBelow(sums.size())));
-    uint64_t page = it->first;
-    if (!store.Materialized(page)) {
-      return;
-    }
-    uint8_t* data = store.PageData(page);
-    data[rng_.NextBelow(kPageSize)] ^=
+    auto victim = rot_scratch_.begin() + static_cast<long>(rng_.NextBelow(rot_scratch_.size()));
+    std::nth_element(rot_scratch_.begin(), victim, rot_scratch_.end());
+    store.Find(*victim)->bytes[rng_.NextBelow(kPageSize)] ^=
         static_cast<uint8_t>(1u << rng_.NextBelow(8));
     ++injected_rots_;
   }
 
   std::vector<FaultSpec> specs_;
   std::vector<MemoryNode*> nodes_;
+  std::vector<uint64_t> rot_scratch_;  // RotStoredPage's checksummed pages.
   uint64_t horizon_ns_ = 0;  // Latest op time seen; window checks never rewind.
   uint64_t seed_ = 0xD15C0DE;
   Rng rng_{0xD15C0DE};

@@ -4,17 +4,38 @@
 // all one-sided READ/WRITE traffic without CPU involvement (Sec. 5 "Memory
 // node"). Pages materialize lazily, zero-filled, mirroring a freshly
 // registered (and zeroed) hugepage region.
+//
+// Each stored page is one record, a StoredPage: its 4 KB of bytes, inline,
+// and the integrity metadata a real node would keep beside them in a
+// metadata region of the same registration (src/recovery/integrity.h):
+//  * a 64-bit checksum, installed with each full-page write-back. A page
+//    written partially (vectored live segments) carries none, because the
+//    store-side content between segments is indeterminate;
+//  * a write generation. A checksum authenticates content, not currency: a
+//    replica that missed write-backs behind a partition still verifies
+//    against its old checksum. The cleaner therefore installs a rising
+//    generation with every checked full-page write-back, and readers judge
+//    a copy that lags the router's expected generation stale
+//    (src/recovery/integrity.h::JudgeCopy). 0 means "never tagged".
+// Metadata lives only on stored pages: no setter creates a record, so
+// page_count() stays the stored capacity.
 #ifndef DILOS_SRC_MEMNODE_PAGE_STORE_H_
 #define DILOS_SRC_MEMNODE_PAGE_STORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "src/rdma/memory_region.h"
 #include "src/rdma/verbs.h"
 
 namespace dilos {
+
+struct StoredPage {
+  uint8_t bytes[kPageSize] = {};
+  uint64_t checksum = 0;  // Valid only while has_checksum.
+  uint32_t generation = 0;
+  bool has_checksum = false;
+};
 
 class PageStore : public AddressResolver {
  public:
@@ -31,80 +52,75 @@ class PageStore : public AddressResolver {
     if (off + len > kPageSize) {
       return nullptr;  // Crosses a page boundary.
     }
-    auto it = pages_.find(page);
-    if (it != pages_.end()) {
-      return it->second.get() + off;
+    if (StoredPage* rec = Find(page)) {
+      return rec->bytes + off;
     }
     if (!for_write) {
       // Reads of never-written pages serve zeros without materializing, so
       // page_count() measures stored capacity (what redundancy benchmarks
       // compare), not read traffic like probes or EC survivor fan-outs.
-      static const uint8_t kZeroPage[kPageSize] = {};
-      return const_cast<uint8_t*>(kZeroPage) + off;
+      return const_cast<uint8_t*>(ZeroPage()) + off;
     }
-    return Materialize(page) + off;
+    return pages_[page].bytes + off;
+  }
+
+  // The record of `page`, or null when the store never held it (or dropped
+  // it).
+  StoredPage* Find(uint64_t page) {
+    auto it = pages_.find(page);
+    return it == pages_.end() ? nullptr : &it->second;
+  }
+  const StoredPage* Find(uint64_t page) const {
+    auto it = pages_.find(page);
+    return it == pages_.end() ? nullptr : &it->second;
   }
 
   // Returns the backing bytes of `page`, materializing zeros on first use.
-  uint8_t* PageData(uint64_t page) {
-    auto it = pages_.find(page);
-    return it == pages_.end() ? Materialize(page) : it->second.get();
+  uint8_t* PageData(uint64_t page) { return pages_[page].bytes; }
+
+  // What a read of a never-written page returns.
+  static const uint8_t* ZeroPage() {
+    static const uint8_t kZeroPage[kPageSize] = {};
+    return kZeroPage;
   }
 
-  bool Materialized(uint64_t page) const { return pages_.count(page) != 0; }
+  bool Materialized(uint64_t page) const { return Find(page) != nullptr; }
   size_t page_count() const { return pages_.size(); }
   // Stored page numbers, for capacity accounting in the redundancy benches
   // (splitting data pages from parity pages by address).
-  const std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>>& pages() const {
-    return pages_;
-  }
+  const std::unordered_map<uint64_t, StoredPage>& pages() const { return pages_; }
 
-  void Drop(uint64_t page) {
-    pages_.erase(page);
-    sums_.erase(page);
-    gens_.erase(page);
-  }
+  // Forgets the page: bytes, checksum and generation together.
+  void Drop(uint64_t page) { pages_.erase(page); }
 
-  // -- Per-page integrity metadata (src/recovery/integrity.h) ----------------
-  // The cleaner installs a 64-bit checksum with each full-page write-back; a
-  // page written partially (vectored live segments) carries none, because the
-  // store-side content between segments is indeterminate. Checksums live next
-  // to the pages the way a real memory node would keep per-block CRCs in a
-  // metadata region of the same registration.
-  void SetChecksum(uint64_t page, uint64_t sum) { sums_[page] = sum; }
-  void DropChecksum(uint64_t page) { sums_.erase(page); }
-  bool HasChecksum(uint64_t page) const { return sums_.count(page) != 0; }
+  // -- Per-field metadata accessors; absent pages read 0 / false ------------
+  // Reverts the page to unverified (after a vectored write-back), keeping its
+  // bytes and generation.
+  void DropChecksum(uint64_t page) {
+    if (StoredPage* rec = Find(page)) {
+      rec->has_checksum = false;
+    }
+  }
+  bool HasChecksum(uint64_t page) const {
+    const StoredPage* rec = Find(page);
+    return rec != nullptr && rec->has_checksum;
+  }
   uint64_t Checksum(uint64_t page) const {
-    auto it = sums_.find(page);
-    return it == sums_.end() ? 0 : it->second;
+    const StoredPage* rec = Find(page);
+    return rec != nullptr && rec->has_checksum ? rec->checksum : 0;
   }
-  const std::unordered_map<uint64_t, uint64_t>& checksums() const { return sums_; }
-
-  // -- Write-generation tags (freshness metadata) -----------------------------
-  // A checksum authenticates *content*, not *currency*: a replica that missed
-  // write-backs behind a partition still verifies against its old checksum.
-  // The cleaner therefore installs a monotonically increasing generation with
-  // every checked full-page write-back; readers compare it against the
-  // router's expected generation and treat a lagging copy as stale
-  // (src/recovery/integrity.h::PageIsStale). 0 means "never tagged".
-  void SetGeneration(uint64_t page, uint32_t gen) { gens_[page] = gen; }
+  void SetGeneration(uint64_t page, uint32_t gen) {
+    if (StoredPage* rec = Find(page)) {
+      rec->generation = gen;
+    }
+  }
   uint32_t Generation(uint64_t page) const {
-    auto it = gens_.find(page);
-    return it == gens_.end() ? 0 : it->second;
+    const StoredPage* rec = Find(page);
+    return rec == nullptr ? 0 : rec->generation;
   }
 
  private:
-  // Stores a zeroed page for `page`, which must not be stored yet.
-  uint8_t* Materialize(uint64_t page) {
-    auto mem = std::make_unique<uint8_t[]>(kPageSize);
-    uint8_t* raw = mem.get();
-    pages_.emplace(page, std::move(mem));
-    return raw;
-  }
-
-  std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> pages_;
-  std::unordered_map<uint64_t, uint64_t> sums_;
-  std::unordered_map<uint64_t, uint32_t> gens_;
+  std::unordered_map<uint64_t, StoredPage> pages_;
 };
 
 }  // namespace dilos

@@ -64,37 +64,27 @@ inline bool EcReconstructPage(ShardRouter& router, const CostModel& cost, int co
         issue = c.completion_time_ns;  // Failover read starts after the timeout.
         break;
       }
-      if (VerifyPageBytes(router.fabric().node(node).store(), member_va,
-                          bufs.back().data())) {
-        if (PageIsStale(router.fabric().node(node).store(), member_va,
-                        router.PageGeneration(member_va))) {
-          // Verified-but-stale survivor: its write generation lags the
-          // cleaner's expected one, so decoding it would mix old and new
-          // stripe content. Re-reading cannot freshen a stored copy — skip
-          // straight to the next member (the scrubber heals it later).
-          stats.stale_copies_detected++;
-          if (tracer != nullptr) {
-            tracer->Record(c.completion_time_ns, TraceEvent::kStaleCopy, member_va,
-                           static_cast<uint32_t>(node));
-          }
-          issue = c.completion_time_ns;
-          break;
-        }
+      CopyVerdict v = JudgeCopy(router.fabric().node(node).store(), node, member_va,
+                                bufs.back().data(), router.PageGeneration(member_va),
+                                c.completion_time_ns, stats, tracer);
+      if (v == CopyVerdict::kFresh) {
         good = true;
         if (c.completion_time_ns > done) {
           done = c.completion_time_ns;
         }
         break;
       }
+      issue = c.completion_time_ns;
+      if (v == CopyVerdict::kStale) {
+        // Its write generation lags the cleaner's expected one, so decoding
+        // it would mix old and new stripe content. Re-reading cannot freshen
+        // a stored copy — skip straight to the next member (the scrubber
+        // heals it later).
+        break;
+      }
       // A corrupt survivor decoded as-is would poison `out`. One re-read
       // covers a wire flip; a second mismatch means the stored copy itself
       // rotted, so the member is skipped (the scrubber repairs it later).
-      stats.checksum_mismatches++;
-      if (tracer != nullptr) {
-        tracer->Record(c.completion_time_ns, TraceEvent::kChecksumMismatch, member_va,
-                       /*detail=*/0);
-      }
-      issue = c.completion_time_ns;
     }
     if (!good) {
       bufs.pop_back();

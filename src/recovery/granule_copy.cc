@@ -31,13 +31,11 @@ bool GranuleCopier::ReadPage(const GranuleFill& fill, uint32_t page_idx, uint32_
         continue;
       }
       const PageStore& nstore = fabric_.node(n).store();
-      if (!nstore.Materialized(page_va >> kPageShift)) {
+      const StoredPage* rec = nstore.Find(page_va >> kPageShift);
+      if (rec == nullptr) {
         continue;
       }
-      int rank = 2;
-      if (nstore.HasChecksum(page_va >> kPageShift)) {
-        rank = PageIsStale(nstore, page_va, expected) ? 1 : 0;
-      }
+      int rank = !rec->has_checksum ? 2 : CopyIsCurrent(rec, expected) ? 0 : 1;
       if (rank != pass) {
         continue;
       }
@@ -51,16 +49,16 @@ bool GranuleCopier::ReadPage(const GranuleFill& fill, uint32_t page_idx, uint32_
           *cursor_ns = rc.completion_time_ns;
           break;  // Next holder.
         }
-        if (VerifyPageBytes(nstore, page_va, f->buf.data())) {
+        // The pass already ranked the source's currency; the read judges
+        // its content, and the source's generation travels with the bytes.
+        if (JudgeCopy(nstore, n, page_va, f->buf.data(), /*expected_gen=*/0,
+                      rc.completion_time_ns, stats_, tracer_) == CopyVerdict::kFresh) {
           f->ready_ns = rc.completion_time_ns;
           f->bytes = 2ULL * kPageSize;  // Source read + target write.
-          f->gen = nstore.Generation(page_va >> kPageShift);
+          f->gen = rec->generation;
           return true;
         }
-        stats_.checksum_mismatches++;
         stats_.refetches++;
-        tracer_->Record(rc.completion_time_ns, TraceEvent::kChecksumMismatch, page_va,
-                        /*detail=*/0);
         *cursor_ns = rc.completion_time_ns;
       }
     }
@@ -128,9 +126,8 @@ GranuleCopier::Result GranuleCopier::Copy(GranuleFill& fill, uint64_t now_ns, ui
       // Already on the target at the current generation — by this copy, an
       // earlier copy attempt, or a racing write-back that fanned out to the
       // uncommitted target.
-      if (skip_fresh && tstore.Materialized(page_va >> kPageShift) &&
-          tstore.HasChecksum(page_va >> kPageShift) &&
-          !PageIsStale(tstore, page_va, expected)) {
+      const StoredPage* trec = skip_fresh ? tstore.Find(page_va >> kPageShift) : nullptr;
+      if (trec != nullptr && trec->has_checksum && CopyIsCurrent(trec, expected)) {
         continue;
       }
       Flight f;

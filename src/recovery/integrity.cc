@@ -127,4 +127,33 @@ uint64_t PageChecksumPortable(const uint8_t* data) { return ChecksumPortable(dat
 
 const char* PageChecksumKernel() { return Dispatch().name; }
 
+CopyVerdict JudgeBytes(const StoredPage* rec, const uint8_t* bytes, uint32_t expected_gen) {
+  if (bytes != nullptr) {
+    bool intact = rec == nullptr ? std::memcmp(bytes, PageStore::ZeroPage(), kPageSize) == 0
+                                 : !rec->has_checksum || PageChecksum(bytes) == rec->checksum;
+    if (!intact) {
+      return CopyVerdict::kCorrupt;
+    }
+  }
+  return CopyIsCurrent(rec, expected_gen) ? CopyVerdict::kFresh : CopyVerdict::kStale;
+}
+
+CopyVerdict JudgeCopy(const PageStore& store, int node, uint64_t page_va, const uint8_t* bytes,
+                      uint32_t expected_gen, uint64_t at_ns, RuntimeStats& stats,
+                      Tracer* tracer) {
+  CopyVerdict v = JudgeBytes(store.Find(page_va >> kPageShift), bytes, expected_gen);
+  if (v == CopyVerdict::kCorrupt) {
+    stats.checksum_mismatches++;
+    if (tracer != nullptr) {
+      tracer->Record(at_ns, TraceEvent::kChecksumMismatch, page_va, /*detail=*/0);
+    }
+  } else if (v == CopyVerdict::kStale) {
+    stats.stale_copies_detected++;
+    if (tracer != nullptr) {
+      tracer->Record(at_ns, TraceEvent::kStaleCopy, page_va, static_cast<uint32_t>(node));
+    }
+  }
+  return v;
+}
+
 }  // namespace dilos

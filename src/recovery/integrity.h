@@ -1,10 +1,11 @@
-// End-to-end page integrity: per-page checksums, arrival verification, and
-// the checked write-back primitive.
+// End-to-end page integrity: per-page checksums, the verdict on every copy
+// read, and the checked write-back primitive.
 //
 // The cleaner computes a 64-bit checksum for every full page it writes back
-// and installs it next to the page on the memory node (PageStore keeps the
-// checksum map the way a real node keeps per-block CRCs in a metadata region
-// of the same registration). Three properties follow:
+// and installs it in the page's record on the memory node (PageStore keeps
+// one StoredPage per page: bytes, checksum and write generation, the way a
+// real node keeps per-block CRCs in a metadata region of the same
+// registration). Three properties follow:
 //
 //  * Write-side ("ICRC analog"): WritePageChecked compares the *stored*
 //    bytes with the source right after the write lands — the way an RNIC
@@ -12,15 +13,20 @@
 //    the write on mismatch. A payload bit flipped in flight on the write
 //    path therefore never becomes durable silently. The compare is a
 //    memcmp: exact, and it spares hashing the page a second time.
-//  * Read-side: every full-page arrival (demand fetch, prefetch, EC survivor
-//    read, repair source read, scrub read) re-hashes the received bytes and
-//    compares against the stored checksum. Computing the hash costs zero
-//    simulated time: NICs do CRC at line rate, so verification adds no
+//  * Read-side: every copy read (demand fetch, prefetch, EC survivor read,
+//    parity read-modify-write, repair source read, scrub read) gets one
+//    verdict from JudgeCopy: fresh, corrupt or stale. Only the verdict
+//    counts checksum_mismatches and stale_copies_detected on the read side;
+//    each caller keeps its own recovery action. Computing the hash costs
+//    zero simulated time: NICs do CRC at line rate, so verification adds no
 //    latency and no wire ops on healthy runs.
-//  * Pages without a checksum verify trivially. Only full-page write-backs
-//    install one; a vectored (guided) write-back drops it, because the bytes
-//    between live segments are indeterminate by design. That gap is
-//    documented in DESIGN.md §9 — guided paging trades it for bandwidth.
+//  * A stored page without a checksum cannot be verified. Only full-page
+//    write-backs install one; a vectored (guided) write-back drops it,
+//    because the bytes between live segments are indeterminate by design.
+//    That gap is documented in DESIGN.md §9 — guided paging trades it for
+//    bandwidth. A page the store never held is different: the store serves
+//    its zero page, so a copy of it must arrive as zeros, and anything else
+//    is a flip on the wire.
 #ifndef DILOS_SRC_RECOVERY_INTEGRITY_H_
 #define DILOS_SRC_RECOVERY_INTEGRITY_H_
 
@@ -53,25 +59,34 @@ uint64_t PageChecksumPortable(const uint8_t* data);
 // "avx2" or "portable": the kernel PageChecksum runs on this CPU.
 const char* PageChecksumKernel();
 
-// Verifies `bytes` (a full page received for `page_va`) against the checksum
-// installed on `store`. True when no checksum exists — nothing to verify
-// against (the page was never fully written back).
-inline bool VerifyPageBytes(const PageStore& store, uint64_t page_va, const uint8_t* bytes) {
-  auto it = store.checksums().find(page_va >> kPageShift);
-  return it == store.checksums().end() || it->second == PageChecksum(bytes);
+enum class CopyVerdict : uint8_t {
+  kFresh,    // Trustworthy: verified (or unverifiable by design) and current.
+  kCorrupt,  // The bytes disagree with the record: a wire flip or rot.
+  kStale,    // The bytes verify, but the copy missed a later write-back.
+};
+
+// Whether a copy whose record is `rec` (null: never stored) carries write
+// generation `expected_gen` or a later one. expected_gen == 0 (the page was
+// never generation-tagged by a cleaner) is always current.
+inline bool CopyIsCurrent(const StoredPage* rec, uint32_t expected_gen) {
+  return expected_gen == 0 || (rec != nullptr && rec->generation >= expected_gen);
 }
 
-// Freshness check beside the content check: true when the copy on `store`
-// lags the expected write generation — it verified against its (old)
-// checksum but missed at least one later full-page write-back (the
-// partitioned-replica gap: stale-but-verified bytes). expected_gen == 0
-// (page never generation-tagged by a cleaner) verifies trivially.
-inline bool PageIsStale(const PageStore& store, uint64_t page_va, uint32_t expected_gen) {
-  if (expected_gen == 0) {
-    return false;
-  }
-  return store.Generation(page_va >> kPageShift) < expected_gen;
-}
+// The verdict on `bytes`, a full page read for the page whose record is
+// `rec`, judged against `expected_gen`; it counts and traces nothing. Null
+// `bytes` judges freshness only (a vectored read). Content: with a checksum
+// the bytes must hash to it; a stored page without one passes; a page never
+// stored must arrive as the zero page. Content is judged before currency.
+CopyVerdict JudgeBytes(const StoredPage* rec, const uint8_t* bytes, uint32_t expected_gen);
+
+// JudgeBytes on a copy of `page_va` read from `node`'s `store` at `at_ns`,
+// counting and tracing what it rejects: checksum_mismatches and a
+// `checksum-mismatch` event (detail 0) for a corrupt copy,
+// stale_copies_detected and a `stale-copy` event (detail = node) for a
+// stale one. The caller decides what to do next.
+CopyVerdict JudgeCopy(const PageStore& store, int node, uint64_t page_va, const uint8_t* bytes,
+                      uint32_t expected_gen, uint64_t at_ns, RuntimeStats& stats,
+                      Tracer* tracer);
 
 // Full-page write with target-side integrity: posts the write at `issue_ns`,
 // installs the checksum (and, when `generation` is nonzero, the write
@@ -97,11 +112,14 @@ inline Completion WritePageChecked(QueuePair* qp, PageStore& store, uint64_t pag
     if (c.status != WcStatus::kSuccess) {
       return c;
     }
-    store.SetChecksum(page, sum);
+    // The write landed, so the page is stored: its record takes the metadata.
+    StoredPage& rec = *store.Find(page);
+    rec.checksum = sum;
+    rec.has_checksum = true;
     if (generation != 0) {
-      store.SetGeneration(page, generation);
+      rec.generation = generation;
     }
-    if (std::memcmp(store.PageData(page), data, kPageSize) == 0) {
+    if (std::memcmp(rec.bytes, data, kPageSize) == 0) {
       return c;
     }
     stats.checksum_mismatches++;

@@ -251,16 +251,14 @@ void RepairManager::OnNodeReadmitted(int node, uint64_t now_ns) {
       bool fresh = true;
       for (uint32_t p = 0; p < kPagesPerGranule; ++p) {
         uint64_t page_va = va + static_cast<uint64_t>(p) * kPageSize;
-        uint64_t page = page_va >> kPageShift;
-        if (store.Materialized(page)) {
+        const StoredPage* rec = store.Find(page_va >> kPageShift);
+        uint32_t gen = router_.PageGeneration(page_va);
+        if (rec == nullptr) {
+          fresh = fresh && CopyIsCurrent(rec, gen);  // Not if a cleaned page never arrived.
+        } else {
           any = true;
-          if (!store.HasChecksum(page) ||
-              !VerifyPageBytes(store, page_va, store.PageData(page)) ||
-              PageIsStale(store, page_va, router_.PageGeneration(page_va))) {
-            fresh = false;
-          }
-        } else if (router_.PageGeneration(page_va) != 0) {
-          fresh = false;  // A cleaned page the orphan never received.
+          fresh = fresh && rec->has_checksum &&
+                  JudgeBytes(rec, rec->bytes, gen) == CopyVerdict::kFresh;
         }
       }
       if (!any) {

@@ -99,7 +99,7 @@ class LatencyBreakdown {
   /* --- Integrity / chaos (src/recovery/integrity.h, fault_injector.h) --- */                     \
   X(checksum_mismatches, integrity)      /* Page payloads that failed verification. */             \
   X(checksum_write_retries, integrity)   /* Write-backs re-posted after the target-side check. */  \
-  X(refetches, integrity)                /* Demand reads re-issued after a mismatch. */            \
+  X(refetches, integrity)                /* Copy reads rejected and left to another read. */       \
   X(checksum_heals, integrity)           /* Corrupt stored copies rewritten from a good one. */    \
   X(scrub_pages, integrity)              /* Remote pages verified by the scrubber. */              \
   X(scrub_repairs, integrity)            /* Latent corruptions the scrubber repaired. */           \

@@ -116,6 +116,53 @@ TEST(ChaosInjector, SameSeedReplaysIdenticalFaultSchedule) {
   EXPECT_GT(a.injected, 0u) << "the plan should actually inject faults";
 }
 
+// The page a kStorageRot draw rots on a one-node fabric whose store holds
+// checksummed pages `pages`, inserted in the given order, plus unchecksummed
+// ones that are never eligible. Returns 0 when nothing rotted.
+uint64_t RotVictim(const std::vector<uint64_t>& pages, uint64_t seed) {
+  Fabric fabric(CostModel::Default(), 1);
+  PageStore& store = fabric.node(0).store();
+  for (uint64_t page : pages) {
+    store.PageData(page);
+    store.PageData(page + 1);  // Stored without a checksum.
+    StoredPage& rec = *store.Find(page);
+    rec.checksum = PageChecksum(rec.bytes);
+    rec.has_checksum = true;
+  }
+  FaultPlan plan;
+  plan.seed = seed;
+  plan.specs.push_back({0, FaultKind::kStorageRot, 1.0, 1.0, 0, UINT64_MAX});
+  fabric.set_fault_plan(plan);
+  fabric.injector().Decide(/*node=*/0, /*is_write=*/false, /*now_ns=*/0, /*bytes=*/0);
+  EXPECT_EQ(fabric.injector().injected_rots(), 1u);
+  uint64_t victim = 0;
+  for (const auto& [page, rec] : store.pages()) {
+    if (std::memcmp(rec.bytes, PageStore::ZeroPage(), kPageSize) != 0) {
+      EXPECT_EQ(victim, 0u) << "one rot flips one page";
+      EXPECT_TRUE(rec.has_checksum) << "only checksummed pages rot";
+      victim = page;
+    }
+  }
+  return victim;
+}
+
+TEST(ChaosInjector, RotVictimIsDrawnInPageOrderNotHashOrder) {
+  // The same checksummed pages, inserted in opposite orders: under one seed
+  // both stores rot the same page, the draw's index into ascending page order.
+  std::vector<uint64_t> ascending;
+  for (uint64_t i = 0; i < 96; ++i) {
+    ascending.push_back(0x100000 + i * 37 * 2);
+  }
+  std::vector<uint64_t> descending(ascending.rbegin(), ascending.rend());
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    rng.NextDouble();  // The rot's probability draw comes first.
+    uint64_t expected = ascending[rng.NextBelow(ascending.size())];
+    EXPECT_EQ(RotVictim(ascending, seed), expected) << "seed " << seed;
+    EXPECT_EQ(RotVictim(descending, seed), expected) << "seed " << seed;
+  }
+}
+
 TEST(ChaosInjector, TransientTimeoutsAreRetriedWithoutDataLoss) {
   // Faults scoped to node 2: nodes 0 and 1 stay healthy, so every page
   // always has a live, verified replica no matter how node 2 flaps.
@@ -355,8 +402,8 @@ TEST(ChaosIntegrity, WritePageCheckedRetriesEveryFlippedPost) {
   EXPECT_EQ(w.fabric.injector().injected_bit_flips(), 4u);
   EXPECT_FALSE(w.stored_matches());
   EXPECT_EQ(w.store().Checksum(w.page_va >> kPageShift), PageChecksum(w.source.data()));
-  EXPECT_FALSE(VerifyPageBytes(w.store(), w.page_va,
-                               w.store().PageData(w.page_va >> kPageShift)));
+  const StoredPage* rec = w.store().Find(w.page_va >> kPageShift);
+  EXPECT_EQ(JudgeBytes(rec, rec->bytes, /*expected_gen=*/0), CopyVerdict::kCorrupt);
 }
 
 TEST(ChaosIntegrity, WritePageCheckedPostsOnceWithoutFlips) {
@@ -366,6 +413,76 @@ TEST(ChaosIntegrity, WritePageCheckedPostsOnceWithoutFlips) {
   EXPECT_EQ(w.stats.checksum_mismatches, 0u);
   EXPECT_TRUE(w.stored_matches());
   EXPECT_EQ(w.store().Checksum(w.page_va >> kPageShift), PageChecksum(w.source.data()));
+}
+
+// The verdict on a copy read, row by row: what JudgeCopy returns, what it
+// counts and what it traces.
+TEST(ChaosIntegrity, JudgeCopyVerdictTable) {
+  PageStore store;
+  const uint64_t tagged_va = kFarBase + 3 * kPageSize;  // Checksummed, generation 2.
+  const uint64_t bare_va = kFarBase + 4 * kPageSize;    // Stored without a checksum.
+  const uint64_t absent_va = kFarBase + 5 * kPageSize;  // Never stored.
+  const std::vector<uint8_t> good = RandomPage(21);
+  std::vector<uint8_t> flipped = good;
+  flipped[100] ^= 0x04;
+  const std::vector<uint8_t> zeros(kPageSize, 0);
+  std::vector<uint8_t> flipped_zeros = zeros;
+  flipped_zeros[2178] ^= 0x02;
+  std::memcpy(store.PageData(tagged_va >> kPageShift), good.data(), kPageSize);
+  StoredPage& tagged = *store.Find(tagged_va >> kPageShift);
+  tagged.checksum = PageChecksum(good.data());
+  tagged.has_checksum = true;
+  tagged.generation = 2;
+  std::memcpy(store.PageData(bare_va >> kPageShift), good.data(), kPageSize);
+
+  constexpr CopyVerdict kFresh = CopyVerdict::kFresh;
+  constexpr CopyVerdict kCorrupt = CopyVerdict::kCorrupt;
+  constexpr CopyVerdict kStale = CopyVerdict::kStale;
+  struct Row {
+    const char* name;
+    uint64_t page_va;
+    const uint8_t* bytes;
+    uint32_t expected_gen;
+    CopyVerdict verdict;
+  };
+  const Row rows[] = {
+      {"fresh copy", tagged_va, good.data(), 2, kFresh},
+      {"copy ahead of the expected generation", tagged_va, good.data(), 1, kFresh},
+      {"stored copy with no checksum", bare_va, flipped.data(), 0, kFresh},
+      {"corrupt copy", tagged_va, flipped.data(), 2, kCorrupt},
+      {"corrupt and stale copy: content first", tagged_va, flipped.data(), 3, kCorrupt},
+      {"stale copy", tagged_va, good.data(), 3, kStale},
+      {"never stored, arriving as zeros", absent_va, zeros.data(), 0, kFresh},
+      {"never stored, arriving flipped", absent_va, flipped_zeros.data(), 0, kCorrupt},
+      {"never stored, a generation expected", absent_va, zeros.data(), 1, kStale},
+      {"null bytes on a current copy", tagged_va, nullptr, 2, kFresh},
+      {"null bytes on a stale copy", tagged_va, nullptr, 3, kStale},
+      {"null bytes, never stored", absent_va, nullptr, 0, kFresh},
+      {"expected_gen 0 on an old copy", tagged_va, good.data(), 0, kFresh},
+  };
+  for (const Row& row : rows) {
+    RuntimeStats stats;
+    Tracer tracer(/*capacity=*/8);
+    CopyVerdict v = JudgeCopy(store, /*node=*/3, row.page_va, row.bytes, row.expected_gen,
+                              /*at_ns=*/77, stats, &tracer);
+    EXPECT_EQ(v, row.verdict) << row.name;
+    EXPECT_EQ(stats.checksum_mismatches, row.verdict == kCorrupt ? 1u : 0u) << row.name;
+    EXPECT_EQ(stats.stale_copies_detected, row.verdict == kStale ? 1u : 0u) << row.name;
+    EXPECT_EQ(stats.refetches, 0u) << row.name << ": refetches are the caller's to count";
+    std::vector<TraceRecord> trace = tracer.Snapshot();
+    if (row.verdict == kFresh) {
+      EXPECT_TRUE(trace.empty()) << row.name;
+      continue;
+    }
+    ASSERT_EQ(trace.size(), 1u) << row.name;
+    EXPECT_EQ(trace[0].event, row.verdict == kCorrupt ? TraceEvent::kChecksumMismatch
+                                                      : TraceEvent::kStaleCopy)
+        << row.name;
+    EXPECT_EQ(trace[0].detail, row.verdict == kCorrupt ? 0u : 3u) << row.name;
+    EXPECT_EQ(trace[0].page_va, row.page_va) << row.name;
+    EXPECT_EQ(trace[0].time_ns, 77u) << row.name;
+  }
+  EXPECT_EQ(store.page_count(), 2u) << "judging a never-stored page stores nothing";
 }
 
 // -- Gray failures ------------------------------------------------------------
@@ -530,8 +647,9 @@ TEST(ChaosPartition, StaleButVerifiedCopyIsDetectedByGeneration) {
     const PageStore& store = fabric.node(0).store();
     for (uint64_t p = 0; p < pages; ++p) {
       uint64_t va = region + p * kPageSize;
-      if (store.HasChecksum(va >> kPageShift) &&
-          PageIsStale(store, va, rt.router().PageGeneration(va))) {
+      const StoredPage* rec = store.Find(va >> kPageShift);
+      if (rec != nullptr && rec->has_checksum &&
+          !CopyIsCurrent(rec, rt.router().PageGeneration(va))) {
         ++n;
       }
     }

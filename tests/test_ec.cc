@@ -389,6 +389,64 @@ TEST(EcRuntime, ParityDeltaSkipsUnchangedPagesAndCatchesTheLastByte) {
   EXPECT_EQ(rt.stats().failed_fetches, 0u);
 }
 
+TEST(EcRuntime, FlipOnTheOldContentReadOfANeverWrittenPageNeverReachesParity) {
+  // A page's first write-back reads its old content from the home node,
+  // which never stored the page and serves its zero page. A bit flipped on
+  // that read must be judged corrupt — a never-stored page must arrive as
+  // zeros — and not folded into both parity pages as old content: then
+  // every later decode of the page would return the flip.
+  Fabric fabric(CostModel::Default(), 4);
+  DilosConfig cfg = EcConfig(2, 2);
+  cfg.local_mem_bytes = 16 * kPageSize;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  const uint64_t granules = 16;
+  uint64_t region = rt.AllocRegion(granules * kPagesPerGranule * kPageSize);
+  std::vector<uint8_t> page(kPageSize);
+  for (size_t i = 0; i < kPageSize; ++i) {
+    page[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  rt.WriteBytes(region, page.data(), kPageSize);
+  auto home_of = [&rt](uint64_t va) {
+    uint64_t granule = ShardRouter::GranuleOf(va);
+    return rt.router().EcNode(rt.router().EcStripeOf(granule), rt.router().EcMemberOf(granule));
+  };
+  const int home = home_of(region);
+
+  // Every op to the home node flips a bit while the page is evicted by
+  // writes to granules homed elsewhere.
+  FaultPlan plan;
+  plan.specs.push_back({home, FaultKind::kBitFlip, 1.0, 1.0, 0, UINT64_MAX});
+  fabric.set_fault_plan(plan);
+  for (uint64_t g = 1; g < granules; ++g) {
+    uint64_t base = region + g * kPagesPerGranule * kPageSize;
+    if (home_of(base) == home) {
+      continue;
+    }
+    for (uint64_t p = 0; p < 8; ++p) {
+      rt.Write<uint64_t>(base + p * kPageSize, g * 100 + p);
+    }
+  }
+  ASSERT_EQ(PteTagOf(rt.page_table().Get(region)), PteTag::kRemote) << "the page was not evicted";
+  ASSERT_GT(fabric.injector().injected_bit_flips(), 0u);
+
+  // Decode the page from the survivors alone: its other data member and
+  // the two parity pages, none of which ever saw a flip.
+  fabric.set_fault_plan(FaultPlan{});
+  rt.router().FailNode(home);
+  std::vector<uint8_t> back(kPageSize);
+  rt.ReadBytes(region, back.data(), kPageSize);
+  size_t wrong = 0;
+  size_t first = kPageSize;
+  for (size_t i = 0; i < kPageSize; ++i) {
+    if (back[i] != page[i]) {
+      ++wrong;
+      first = std::min(first, i);
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "first wrong byte " << first;
+  EXPECT_EQ(rt.stats().failed_fetches, 0u);
+}
+
 TEST(EcRuntime, RepairRebuildsLostMemberFromParity) {
   // Six nodes but (2, 1) stripes use only three each: healthy off-stripe
   // nodes exist, so the repair manager can regenerate the dead node's

@@ -3,6 +3,7 @@
 // that a post keeps nothing once it returns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdlib>
@@ -222,6 +223,65 @@ TEST(PageStoreTest, MaterializesLazily) {
   EXPECT_TRUE(store.Materialized(5));
   EXPECT_EQ(store.page_count(), 1u);
   EXPECT_EQ(p[0], 0);
+}
+
+// A stored page whose record carries a checksum and a generation.
+StoredPage& StoreTagged(PageStore& store, uint64_t page) {
+  store.PageData(page)[7] = 0xAB;
+  StoredPage& rec = *store.Find(page);
+  rec.checksum = 0x1234;
+  rec.has_checksum = true;
+  rec.generation = 3;
+  return rec;
+}
+
+TEST(PageStoreTest, DropForgetsBytesChecksumAndGenerationTogether) {
+  PageStore store;
+  StoreTagged(store, 5);
+  store.Drop(5);
+  EXPECT_EQ(store.Find(5), nullptr);
+  EXPECT_EQ(store.page_count(), 0u);
+  EXPECT_FALSE(store.HasChecksum(5));
+  EXPECT_EQ(store.Checksum(5), 0u);
+  EXPECT_EQ(store.Generation(5), 0u);
+  EXPECT_EQ(store.Resolve((5ULL << kPageShift) + 7, 1, /*for_write=*/false)[0], 0);
+}
+
+TEST(PageStoreTest, DropChecksumKeepsBytesAndGeneration) {
+  PageStore store;
+  StoreTagged(store, 5);
+  store.DropChecksum(5);
+  const StoredPage* rec = store.Find(5);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_FALSE(rec->has_checksum);
+  EXPECT_FALSE(store.HasChecksum(5));
+  EXPECT_EQ(store.Checksum(5), 0u);
+  EXPECT_EQ(rec->bytes[7], 0xAB);
+  EXPECT_EQ(store.Generation(5), 3u);
+}
+
+TEST(PageStoreTest, ReadOfANeverWrittenPageServesZerosWithoutStoringIt) {
+  PageStore store;
+  const uint8_t* p = store.Resolve(9ULL << kPageShift, kPageSize, /*for_write=*/false);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p, store.ZeroPage());
+  EXPECT_EQ(std::count(p, p + kPageSize, 0), static_cast<long>(kPageSize));
+  EXPECT_EQ(store.Find(9), nullptr);
+  EXPECT_EQ(store.page_count(), 0u);
+  // A write stores the page, zero-filled around the written bytes.
+  uint8_t* w = store.Resolve((9ULL << kPageShift) + 8, 8, /*for_write=*/true);
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(w, store.Find(9)->bytes + 8);
+  EXPECT_EQ(store.page_count(), 1u);
+}
+
+TEST(PageStoreTest, NoMetadataSetterStoresAPage) {
+  PageStore store;
+  store.SetGeneration(4, 7);
+  store.DropChecksum(4);
+  EXPECT_EQ(store.page_count(), 0u);
+  EXPECT_EQ(store.Generation(4), 0u);
+  EXPECT_FALSE(store.Materialized(4));
 }
 
 TEST(PageStoreTest, ResolveRejectsCrossPage) {
