@@ -1,10 +1,12 @@
 // Host-side microbenchmarks (google-benchmark) of the simulator substrates
 // themselves: page-table walks, frame pool churn, the far-heap allocator,
-// the szip codec, the EC parity kernel and the page checksum. These measure
-// the reproduction's own performance, not simulated time — useful for
-// keeping the simulator fast enough to run the paper-scale sweeps.
+// the szip codec, the EC parity kernel, the page checksum and a stored
+// page's first touch. These measure the reproduction's own performance, not
+// simulated time — useful for keeping the simulator fast enough to run the
+// paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -137,6 +139,26 @@ void BM_PageChecksum(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kPageSize);
 }
 BENCHMARK(BM_PageChecksum)->ArgName("portable")->Arg(0)->Arg(1);
+
+// 16 MB of fresh pages materialized and written in a new Fabric's stores,
+// host mapping and page faults included: per_page is the host time a stored
+// page costs when it is first touched (the page arena's 2 MB slabs, on huge
+// pages when the host grants them).
+void BM_StoreFirstTouch(benchmark::State& state) {
+  constexpr uint64_t kPages = (16ULL << 20) / kPageSize;
+  for (auto _ : state) {
+    Fabric fabric;
+    PageStore& store = fabric.node(0).store();
+    for (uint64_t page = 0; page < kPages; ++page) {
+      std::memset(store.PageData(page), 0x5A, kPageSize);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_page"] = benchmark::Counter(
+      kPages, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * kPages) * kPageSize);
+}
+BENCHMARK(BM_StoreFirstTouch)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dilos

@@ -141,7 +141,7 @@ void PageManager::Clean(uint64_t page_va, Pte* e, uint64_t now) {
       // guided-paging integrity gap).
       router_.fabric().node(write_nodes_[i]).store().DropChecksum(page_va >> kPageShift);
       stats_.vectored_ops++;
-      stats_.bytes_written += wr.TotalBytes();
+      stats_.bytes_written += TotalBytes(wr.segs);
       ++ok;
     }
     stats_.writebacks++;

@@ -2,7 +2,8 @@
 // a memory node, and the 100 GbE link connecting them. Queue pairs created
 // here model DiLOS' per-core, per-module QPs (Sec. 4.5): each CreateQp()
 // returns an independent QP whose ops never queue behind another QP's
-// software path, though all share the physical wire.
+// software path, though all share the physical wire. The fabric also owns
+// the page arena (src/memnode/page_arena.h) every node's store draws from.
 #ifndef DILOS_SRC_MEMNODE_FABRIC_H_
 #define DILOS_SRC_MEMNODE_FABRIC_H_
 
@@ -11,6 +12,7 @@
 
 #include "src/memnode/fault_injector.h"
 #include "src/memnode/memory_node.h"
+#include "src/memnode/page_arena.h"
 #include "src/rdma/link.h"
 #include "src/rdma/queue_pair.h"
 #include "src/sim/cost_model.h"
@@ -26,7 +28,7 @@ class Fabric {
       : cost_(cost) {
     for (int i = 0; i < num_nodes; ++i) {
       links_.push_back(std::make_unique<Link>(cost));
-      nodes_.push_back(std::make_unique<MemoryNode>(static_cast<uint32_t>(0x5EED + i)));
+      nodes_.push_back(std::make_unique<MemoryNode>(&arena_, static_cast<uint32_t>(0x5EED + i)));
       injector_.RegisterNode(nodes_.back().get());
     }
   }
@@ -76,9 +78,14 @@ class Fabric {
   MemoryNode& node(int i = 0) { return *nodes_[static_cast<size_t>(i)]; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const CostModel& cost() const { return cost_; }
+  // The host memory behind every node's stored pages.
+  const PageArena& arena() const { return arena_; }
 
  private:
   CostModel cost_;
+  // One arena for all nodes, so the fabric's last slab is its only partly
+  // used huge page. Declared before nodes_: it outlives their stores.
+  PageArena arena_;
   FaultInjector injector_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<MemoryNode>> nodes_;

@@ -17,7 +17,9 @@ inline constexpr uint64_t kFarSpan = 1ULL << 38;  // 256 GB of far address space
 
 class MemoryNode {
  public:
-  explicit MemoryNode(uint32_t rkey = 0x5EED) {
+  // The node's page store draws its slots from `arena`, which must outlive
+  // the node.
+  MemoryNode(PageArena* arena, uint32_t rkey) : store_(arena) {
     mr_.key = rkey;
     mr_.base = kFarBase;
     mr_.length = kFarSpan;

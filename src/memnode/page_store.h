@@ -3,10 +3,13 @@
 // The memory node registers one large region with its RNIC and then serves
 // all one-sided READ/WRITE traffic without CPU involvement (Sec. 5 "Memory
 // node"). Pages materialize lazily, zero-filled, mirroring a freshly
-// registered (and zeroed) hugepage region.
+// registered (and zeroed) hugepage region: a page's 4 KB are a slot of a
+// PageArena (src/memnode/page_arena.h), whose 2 MB slabs are advised for
+// transparent huge pages. The stores of one Fabric share its arena; a
+// standalone store owns one.
 //
-// Each stored page is one record, a StoredPage: its 4 KB of bytes, inline,
-// and the integrity metadata a real node would keep beside them in a
+// Each stored page is one record, a StoredPage: a pointer to its slot, and
+// the integrity metadata a real node would keep beside the bytes in a
 // metadata region of the same registration (src/recovery/integrity.h):
 //  * a 64-bit checksum, installed with each full-page write-back. A page
 //    written partially (vectored live segments) carries none, because the
@@ -23,23 +26,28 @@
 #define DILOS_SRC_MEMNODE_PAGE_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
+#include "src/memnode/page_arena.h"
 #include "src/rdma/memory_region.h"
 #include "src/rdma/verbs.h"
 
 namespace dilos {
 
 struct StoredPage {
-  uint8_t bytes[kPageSize] = {};
-  uint64_t checksum = 0;  // Valid only while has_checksum.
+  uint8_t* bytes = nullptr;  // kPageSize bytes: the page's arena slot.
+  uint64_t checksum = 0;     // Valid only while has_checksum.
   uint32_t generation = 0;
   bool has_checksum = false;
 };
 
 class PageStore : public AddressResolver {
  public:
-  PageStore() = default;
+  // Draws page slots from `arena`, which must outlive the store.
+  explicit PageStore(PageArena* arena) : arena_(arena) {}
+  // A standalone store, on an arena of its own.
+  PageStore() : own_arena_(std::make_unique<PageArena>()), arena_(own_arena_.get()) {}
 
   // A segment must lie within one 4 KB page: the store's registration is
   // page-granular, matching how the RNIC DMA-scatters into host pages.
@@ -61,7 +69,7 @@ class PageStore : public AddressResolver {
       // compare), not read traffic like probes or EC survivor fan-outs.
       return const_cast<uint8_t*>(ZeroPage()) + off;
     }
-    return pages_[page].bytes + off;
+    return Materialize(page).bytes + off;
   }
 
   // The record of `page`, or null when the store never held it (or dropped
@@ -76,7 +84,12 @@ class PageStore : public AddressResolver {
   }
 
   // Returns the backing bytes of `page`, materializing zeros on first use.
-  uint8_t* PageData(uint64_t page) { return pages_[page].bytes; }
+  uint8_t* PageData(uint64_t page) {
+    if (StoredPage* rec = Find(page)) {
+      return rec->bytes;
+    }
+    return Materialize(page).bytes;
+  }
 
   // What a read of a never-written page returns.
   static const uint8_t* ZeroPage() {
@@ -90,8 +103,15 @@ class PageStore : public AddressResolver {
   // (splitting data pages from parity pages by address).
   const std::unordered_map<uint64_t, StoredPage>& pages() const { return pages_; }
 
-  // Forgets the page: bytes, checksum and generation together.
-  void Drop(uint64_t page) { pages_.erase(page); }
+  // Forgets the page: bytes, checksum and generation together. Its slot goes
+  // back to the arena.
+  void Drop(uint64_t page) {
+    auto it = pages_.find(page);
+    if (it != pages_.end()) {
+      arena_->Free(it->second.bytes);
+      pages_.erase(it);
+    }
+  }
 
   // -- Per-field metadata accessors; absent pages read 0 / false ------------
   // Reverts the page to unverified (after a vectored write-back), keeping its
@@ -120,6 +140,13 @@ class PageStore : public AddressResolver {
   }
 
  private:
+  // Stores `page`, which the store does not hold, in a fresh zeroed slot.
+  StoredPage& Materialize(uint64_t page) {
+    return pages_.emplace(page, StoredPage{arena_->Alloc()}).first->second;
+  }
+
+  std::unique_ptr<PageArena> own_arena_;  // Null when the arena is shared.
+  PageArena* arena_;
   std::unordered_map<uint64_t, StoredPage> pages_;
 };
 

@@ -1,6 +1,8 @@
 // Local DRAM frame pool of the compute node. The pool's size *is* the local
 // cache size knob of every experiment (12.5% / 25% / 50% / 100% of the
-// working set).
+// working set). The frames are one HugeMapping (src/memnode/page_arena.h):
+// zero until first written, and faulted in 2 MB at a time where the host
+// grants transparent huge pages.
 #ifndef DILOS_SRC_PT_FRAME_POOL_H_
 #define DILOS_SRC_PT_FRAME_POOL_H_
 
@@ -8,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/memnode/page_arena.h"
 #include "src/rdma/verbs.h"
 
 namespace dilos {
@@ -44,7 +47,7 @@ class FramePool {
   size_t used() const { return total_ - free_.size(); }
 
  private:
-  std::vector<uint8_t> mem_;
+  HugeMapping mem_;
   size_t total_;
   std::vector<uint32_t> free_;
 };

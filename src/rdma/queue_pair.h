@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "src/rdma/link.h"
 #include "src/rdma/memory_region.h"
@@ -57,9 +58,12 @@ class QueuePair {
   // Posts a one-sided work request at simulated time `now_ns`. Data movement
   // is performed immediately; the returned completion carries the time the
   // op lands (fabric latency plus wire serialization) and its wire queueing.
-  // This is the one choke point every RDMA op in the repo passes through:
-  // per-(node, QP class) telemetry hangs off it (src/telemetry/metrics.h).
-  Completion PostSend(const WorkRequest& wr, uint64_t now_ns);
+  // PostSend, PostRead and PostWrite share one body, Post: the one choke
+  // point every RDMA op in the repo passes through. Per-(node, QP class)
+  // telemetry hangs off it (src/telemetry/metrics.h).
+  Completion PostSend(const WorkRequest& wr, uint64_t now_ns) {
+    return Post(wr.wr_id, wr.opcode, wr.segs, wr.rkey, now_ns);
+  }
 
   int node() const { return node_; }
   QpClass qp_class() const { return cls_; }
@@ -70,7 +74,8 @@ class QueuePair {
   // rkey of the connected remote region (the connection handshake result).
   uint32_t remote_rkey() const { return remote_mr_->key; }
 
-  // Convenience: single-segment page-sized or subpage ops.
+  // Convenience: single-segment page-sized or subpage ops. They allocate
+  // nothing: the one segment stays on the stack.
   Completion PostRead(uint64_t wr_id, uint64_t local_addr, uint64_t remote_addr, uint32_t len,
                       uint64_t now_ns) {
     return PostOne(RdmaOpcode::kRead, wr_id, local_addr, remote_addr, len, now_ns);
@@ -83,11 +88,19 @@ class QueuePair {
  private:
   // RC retransmit-exhausted path, shared by crashes and injected drops.
   Completion Timeout(uint64_t wr_id, uint64_t now_ns);
-  Completion PostSendImpl(const WorkRequest& wr, uint64_t now_ns);
-  // The body of PostRead and PostWrite: one segment toward the connected
-  // region.
+  // The body of every post, over the request's segment list: Transfer, then
+  // the telemetry hook.
+  Completion Post(uint64_t wr_id, RdmaOpcode opcode, std::span<const Sge> segs, uint32_t rkey,
+                  uint64_t now_ns);
+  // Validates the request, moves its payload and times its completion.
+  Completion Transfer(uint64_t wr_id, RdmaOpcode opcode, std::span<const Sge> segs,
+                      uint32_t rkey, uint64_t now_ns);
+  // One segment toward the connected region.
   Completion PostOne(RdmaOpcode opcode, uint64_t wr_id, uint64_t local_addr,
-                     uint64_t remote_addr, uint32_t len, uint64_t now_ns);
+                     uint64_t remote_addr, uint32_t len, uint64_t now_ns) {
+    const Sge seg{local_addr, remote_addr, len};
+    return Post(wr_id, opcode, {&seg, 1}, remote_mr_->key, now_ns);
+  }
 
   Link* link_;
   AddressResolver* local_;

@@ -8,6 +8,7 @@
 #define DILOS_SRC_RDMA_VERBS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dilos {
@@ -37,19 +38,20 @@ struct Sge {
   uint32_t length = 0;
 };
 
+// Payload bytes of a segment list.
+inline uint64_t TotalBytes(std::span<const Sge> segs) {
+  uint64_t n = 0;
+  for (const Sge& s : segs) {
+    n += s.length;
+  }
+  return n;
+}
+
 struct WorkRequest {
   uint64_t wr_id = 0;
   RdmaOpcode opcode = RdmaOpcode::kRead;
   std::vector<Sge> segs;
   uint32_t rkey = 0;
-
-  uint64_t TotalBytes() const {
-    uint64_t n = 0;
-    for (const Sge& s : segs) {
-      n += s.length;
-    }
-    return n;
-  }
 };
 
 // Everything about one posted op. The simulator fixes an op's timing when it

@@ -6,7 +6,7 @@
 // event). A default TelemetryConfig{} changes nothing: no allocation on any
 // fault path, identical RuntimeStats, identical timing. The runtime
 // constructs a Telemetry object only when cfg.enabled(), then installs its
-// pieces: the MetricsRegistry onto the Fabric's PostSend choke point, the
+// pieces: the MetricsRegistry onto the QueuePair::Post choke point, the
 // FlightRecorder as the tracer's sink, and span recording onto the tracer.
 #ifndef DILOS_SRC_TELEMETRY_TELEMETRY_H_
 #define DILOS_SRC_TELEMETRY_TELEMETRY_H_

@@ -1,4 +1,5 @@
-// Weighted fair-share wire scheduling at the QueuePair::PostSend choke point.
+// Weighted fair-share wire scheduling at QueuePair::Post, the choke point of
+// every post.
 //
 // The default Link is a per-direction FIFO: whoever posts first owns the
 // wire, so one tenant's bulk scan (prefetch window after prefetch window)

@@ -2,6 +2,10 @@
 // pool, and the PTE hit tracker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "src/memnode/page_arena.h"
 #include "src/pt/frame_pool.h"
 #include "src/pt/hit_tracker.h"
 #include "src/pt/page_table.h"
@@ -123,6 +127,21 @@ TEST(FramePool, FramesAreDistinctWritableMemory) {
   EXPECT_EQ(pool.Data(*a)[0], 0x11);
   EXPECT_EQ(pool.Data(*b)[0], 0x22);
   EXPECT_EQ(pool.Addr(*a), reinterpret_cast<uint64_t>(pool.Data(*a)));
+}
+
+TEST(FramePool, FramesAreDistinctAlignedAndZeroBeforeFirstWrite) {
+  // One whole 2 MB span plus a 4 KB-paged tail.
+  FramePool pool(PageArena::kSlotsPerSlab + 88);
+  std::set<uint64_t> addrs;
+  while (auto fid = pool.Alloc()) {
+    uint64_t addr = pool.Addr(*fid);
+    EXPECT_EQ(addr % kPageSize, 0u);
+    EXPECT_TRUE(addrs.insert(addr).second);
+    const uint8_t* p = pool.Data(*fid);
+    EXPECT_EQ(std::count(p, p + kPageSize, 0), static_cast<long>(kPageSize)) << *fid;
+    pool.Data(*fid)[kPageSize - 1] = 0xEE;
+  }
+  EXPECT_EQ(addrs.size(), pool.total());
 }
 
 TEST(HitTracker, AllHitsGivesRatioOne) {

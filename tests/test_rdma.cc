@@ -1,6 +1,6 @@
 // Tests for the simulated RDMA fabric: data movement, protection keys,
-// scatter/gather validation, link serialization, completion ordering, and
-// that a post keeps nothing once it returns.
+// scatter/gather validation, link serialization, completion ordering, that
+// a post keeps nothing once it returns, and the memory node's page store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +12,13 @@
 
 #include "src/memnode/fabric.h"
 #include "src/memnode/memory_node.h"
+#include "src/memnode/page_arena.h"
 #include "src/rdma/link.h"
 #include "src/rdma/queue_pair.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 // Every global allocation in this binary is counted, so a test can bound the
 // allocations an operation makes. The binary is single-threaded. None of the
@@ -203,15 +208,18 @@ TEST_F(RdmaTest, CompletionCarriesWireQueueing) {
 }
 
 TEST_F(RdmaTest, PostsRetainNothing) {
-  // A post returns its completion and stores none: 10,000 page reads make
-  // at most one allocation each, for the work request's segment list.
+  // A post returns its completion and stores none, and a single-segment
+  // post keeps its segment on the stack: 10,000 page reads and 10,000 page
+  // writes allocate nothing.
   uint64_t local = reinterpret_cast<uint64_t>(buf_.data());
   qp_->PostRead(0, local, kFarBase, kPageSize, 0);  // Sizes the link's bandwidth meter.
+  qp_->PostWrite(0, local, kFarBase, kPageSize, 0);
   uint64_t before = g_allocations;
   for (uint64_t i = 1; i <= 10'000; ++i) {
     qp_->PostRead(i, local, kFarBase, kPageSize, 0);
+    qp_->PostWrite(i, local, kFarBase, kPageSize, 0);
   }
-  EXPECT_LE(g_allocations - before, 10'000u);
+  EXPECT_EQ(g_allocations - before, 0u);
   EXPECT_EQ(qp_->cq().outstanding(), 0u);
 }
 
@@ -283,6 +291,55 @@ TEST(PageStoreTest, NoMetadataSetterStoresAPage) {
   EXPECT_EQ(store.Generation(4), 0u);
   EXPECT_FALSE(store.Materialized(4));
 }
+
+TEST(PageStoreTest, PageKeepsItsAddressAndBytesAsSlabsAreAdded) {
+  PageStore store;
+  uint8_t* first = store.PageData(0);
+  std::memset(first, 0x5A, kPageSize);
+  // More than two slabs' worth of other pages.
+  for (uint64_t page = 1; page <= 2 * PageArena::kSlotsPerSlab + 1; ++page) {
+    store.PageData(page)[0] = 1;
+  }
+  EXPECT_EQ(store.Find(0)->bytes, first);
+  EXPECT_EQ(std::count(first, first + kPageSize, 0x5A), static_cast<long>(kPageSize));
+}
+
+TEST(PageStoreTest, DroppedThenRestoredPageReadsAsZeros) {
+  PageStore store;
+  uint8_t* first = store.PageData(5);
+  std::memset(first, 0xFF, kPageSize);
+  store.Drop(5);
+  uint8_t* again = store.PageData(5);
+  // The dropped slot is the one reused, and it comes back zeroed.
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(std::count(again, again + kPageSize, 0), static_cast<long>(kPageSize));
+}
+
+TEST(PageStoreTest, StoresOfOneFabricShareOneArena) {
+  // 6 x 100 pages fill two 512-slot slabs of the fabric's one arena; an
+  // arena per store would map six.
+  Fabric fabric(CostModel::Default(), /*num_nodes=*/6);
+  for (int n = 0; n < fabric.num_nodes(); ++n) {
+    for (uint64_t page = 0; page < 100; ++page) {
+      fabric.node(n).store().PageData(page)[0] = 1;
+    }
+  }
+  EXPECT_EQ(fabric.arena().slab_count(), 2u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(PageStoreTest, UnheldSlotsArePoisoned) {
+  // Slots of one mapping have no redzones: the arena poisons every slot no
+  // page holds, so an overrun or a read of a dropped page still trips ASan.
+  PageStore store;
+  uint8_t* slot = store.PageData(5);
+  EXPECT_EQ(__asan_region_is_poisoned(slot, kPageSize), nullptr);
+  EXPECT_TRUE(__asan_address_is_poisoned(slot + kPageSize));  // Not yet handed out.
+  store.Drop(5);
+  EXPECT_EQ(__asan_region_is_poisoned(slot, kPageSize), slot);
+  EXPECT_TRUE(__asan_address_is_poisoned(slot + kPageSize - 1));
+}
+#endif
 
 TEST(PageStoreTest, ResolveRejectsCrossPage) {
   PageStore store;
