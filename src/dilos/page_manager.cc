@@ -1,7 +1,10 @@
 #include "src/dilos/page_manager.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "src/recovery/ec_read.h"
 #include "src/recovery/integrity.h"
@@ -12,55 +15,43 @@ PageManager::PageManager(FramePool& pool, PageTable& pt, ShardRouter& router,
                          RuntimeStats& stats, Tracer* tracer, PageManagerConfig cfg,
                          const CostModel* cost, size_t free_target)
     : pool_(pool), pt_(pt), router_(router), stats_(stats), tracer_(tracer), cfg_(cfg),
-      cost_(cost), free_target_(free_target) {}
+      cost_(cost), free_target_(free_target), lru_(pool.total()), frames_(pool.total()) {}
 
-void PageManager::PushLru(uint64_t page_va, Pte pte) {
+void PageManager::PushLru(uint32_t frame, uint64_t page_va, Pte pte) {
   uint64_t seq = ++lru_seq_;
-  lru_.push_back({page_va, seq});
-  where_[page_va] = std::prev(lru_.end());
+  frames_[frame].seq = seq;
+  lru_.PushBack(frame, page_va);
   if (pte & kPteDirty) {
-    clean_queue_.emplace_hint(clean_queue_.end(), seq, page_va);
+    clean_queue_.emplace_hint(clean_queue_.end(), seq, frame);
   }
 }
 
-void PageManager::Unlink(LruIndex::iterator w) {
-  clean_queue_.erase(w->second->seq);
-  lru_.erase(w->second);
-  where_.erase(w);
+void PageManager::Unlink(uint32_t frame) {
+  clean_queue_.erase(frames_[frame].seq);
+  lru_.Erase(frame);
 }
 
 void PageManager::OnMapped(uint64_t page_va) {
-  auto it = where_.find(page_va);
-  if (it != where_.end()) {
-    Unlink(it);
-  } else if (tenants_ != nullptr) {
-    tenants_->OnResident(page_va, +1);  // Fresh residency, not an LRU refresh.
+  if (tenants_ != nullptr) {
+    tenants_->OnResident(page_va, +1);
   }
-  PushLru(page_va, *pt_.Entry(page_va, /*create=*/false));
+  Pte pte = *pt_.Entry(page_va, /*create=*/false);
+  PushLru(static_cast<uint32_t>(PtePayload(pte)), page_va, pte);
 }
 
 void PageManager::OnUnmapped(uint64_t page_va) {
-  auto it = where_.find(page_va);
-  if (it != where_.end()) {
-    Unlink(it);
-    if (tenants_ != nullptr) {
-      tenants_->OnResident(page_va, -1);
-    }
+  uint32_t frame = static_cast<uint32_t>(PtePayload(*pt_.Entry(page_va, /*create=*/false)));
+  Unlink(frame);
+  if (tenants_ != nullptr) {
+    tenants_->OnResident(page_va, -1);
   }
-  auto vec = vector_cleaned_.find(page_va);
-  if (vec != vector_cleaned_.end()) {
-    ReleaseAction(vec->second);
-    vector_cleaned_.erase(vec);
-  }
+  ReleaseAction(std::exchange(frames_[frame].action, kNoAction));
 }
 
-void PageManager::OnAccessCleared(uint64_t page_va, Pte pte) {
-  if ((pte & kPteDirty) == 0) {
-    return;
-  }
-  auto it = where_.find(page_va);
-  if (it != where_.end()) {
-    clean_queue_.emplace(it->second->seq, page_va);
+void PageManager::OnAccessCleared(Pte pte) {
+  if ((pte & kPteDirty) != 0) {
+    uint32_t frame = static_cast<uint32_t>(PtePayload(pte));
+    clean_queue_.emplace(frames_[frame].seq, frame);
   }
 }
 
@@ -155,11 +146,8 @@ void PageManager::Clean(uint64_t page_va, Pte* e, uint64_t now) {
       return;
     }
     // Remember the valid extents so eviction produces an action PTE.
-    auto old = vector_cleaned_.find(page_va);
-    if (old != vector_cleaned_.end()) {
-      ReleaseAction(old->second);
-    }
-    vector_cleaned_[page_va] = AllocActionSlot(std::move(segs));
+    ReleaseAction(frames_[frame].action);
+    frames_[frame].action = AllocActionSlot(std::move(segs));
   } else {
     // Only a write-back some replica accepted may clear the dirty bit: if
     // every node dropped it (all partitioned/down), the frame — or the tier
@@ -168,11 +156,7 @@ void PageManager::Clean(uint64_t page_va, Pte* e, uint64_t now) {
     if (!WriteBackFull(page_va, pool_.Data(frame), now)) {
       return;
     }
-    auto old = vector_cleaned_.find(page_va);
-    if (old != vector_cleaned_.end()) {
-      ReleaseAction(old->second);
-      vector_cleaned_.erase(old);
-    }
+    ReleaseAction(std::exchange(frames_[frame].action, kNoAction));
   }
   *e &= ~kPteDirty;
 }
@@ -257,14 +241,14 @@ bool PageManager::ReclaimTenantRemote(int tenant, uint64_t skip_va, uint64_t now
   // local frame is a current full copy (kLocal, clean, not action-logged) can
   // lose its remote copies losslessly — re-marking the PTE dirty makes the
   // frame authoritative again, and a later write-back re-admits it.
-  for (const LruNode& n : lru_) {
-    uint64_t va = n.va;
+  for (uint32_t f = lru_.front(); f != FrameLru::kNone; f = lru_.next(f)) {
+    uint64_t va = lru_.va(f);
     if (va == skip_va || tenants_->ChargeOwner(va) != tenant ||
-        vector_cleaned_.count(va) != 0) {
+        frames_[f].action != kNoAction) {
       continue;
     }
     Pte* e = pt_.Entry(va, /*create=*/false);
-    if (e == nullptr || PteTagOf(*e) != PteTag::kLocal || (*e & kPteDirty) != 0) {
+    if ((*e & kPteDirty) != 0) {
       continue;
     }
     router_.ReplicaNodes(va, &reclaim_nodes_);
@@ -272,7 +256,7 @@ bool PageManager::ReclaimTenantRemote(int tenant, uint64_t skip_va, uint64_t now
       router_.fabric().node(node).store().Drop(va >> kPageShift);
     }
     *e |= kPteDirty;
-    clean_queue_.emplace(n.seq, va);  // Dirty again: the cleaner may take it.
+    clean_queue_.emplace(frames_[f].seq, f);  // Dirty again: the cleaner may take it.
     tenants_->Uncharge(va);
     tenants_->NoteReclaim(tenant);
     stats_.tenant_quota_reclaims++;
@@ -539,27 +523,20 @@ void PageManager::ScrubRepair(uint64_t page_va, int node, uint64_t now) {
 bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
   size_t scanned = 0;
   size_t limit = lru_.size() * 2 + 1;
-  while (!lru_.empty() && scanned < limit) {
+  while (lru_.size() > 0 && scanned < limit) {
     ++scanned;
-    uint64_t page_va = lru_.front().va;
-    Unlink(where_.find(page_va));
+    uint32_t frame = lru_.front();
+    uint64_t page_va = lru_.va(frame);
+    Unlink(frame);
     Pte* e = pt_.Entry(page_va, /*create=*/false);
-    if (e == nullptr || PteTagOf(*e) != PteTag::kLocal) {
-      // Page vanished (unmapped); drop the stale entry. It left residency
-      // without OnUnmapped, so the gauge settles here.
-      if (tenants_ != nullptr) {
-        tenants_->OnResident(page_va, -1);
-      }
-      continue;
-    }
     if (page_va == pinned_va) {
-      PushLru(page_va, *e);
+      PushLru(frame, page_va, *e);
       continue;
     }
     if (*e & kPteAccessed) {
       // Second chance: clear the accessed bit and rotate to the back.
       *e &= ~kPteAccessed;
-      PushLru(page_va, *e);
+      PushLru(frame, page_va, *e);
       continue;
     }
     // Victim found. Offer it to the compressed tier first — a tier-resident
@@ -579,15 +556,13 @@ bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
     if (*e & kPteDirty) {
       Clean(page_va, e, now);
       if (*e & kPteDirty) {
-        PushLru(page_va, *e);
+        PushLru(frame, page_va, *e);
         continue;
       }
     }
-    uint32_t frame = static_cast<uint32_t>(PtePayload(*e));
-    auto vec = vector_cleaned_.find(page_va);
-    if (vec != vector_cleaned_.end()) {
-      *pt_.Entry(page_va, true) = MakeActionPte(vec->second);
-      vector_cleaned_.erase(vec);
+    uint64_t action = std::exchange(frames_[frame].action, kNoAction);
+    if (action != kNoAction) {
+      *pt_.Entry(page_va, true) = MakeActionPte(action);
     } else {
       // Even a clean page can evict to an action PTE: the memory node holds
       // the full (current) content, and the guide's live map tells the later
@@ -613,14 +588,14 @@ bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
 bool PageManager::TierAdmit(uint64_t page_va, Pte* e, uint64_t now) {
   // Guided pages decline: their action-PTE eviction (live-segment encoding)
   // moves fewer bytes on the refault than whole-page compression saves.
-  if (vector_cleaned_.count(page_va) != 0) {
+  uint32_t frame = static_cast<uint32_t>(PtePayload(*e));
+  if (frames_[frame].action != kNoAction) {
     return false;
   }
   std::vector<PageSegment> segs;
   if (VectoredSegments(page_va, &segs)) {
     return false;
   }
-  uint32_t frame = static_cast<uint32_t>(PtePayload(*e));
   bool dirty = (*e & kPteDirty) != 0;
   uint32_t csize = 0;
   if (tier_->AdmitPage(page_va, pool_.Data(frame), dirty, &csize) !=
@@ -721,10 +696,9 @@ void PageManager::BackgroundTick(uint64_t now, uint64_t pinned_va) {
   // admission point requeues it.
   size_t cleaned = 0;
   for (auto it = clean_queue_.begin(); it != clean_queue_.end() && cleaned < kCleanBatch;) {
-    uint64_t page_va = it->second;
+    uint64_t page_va = lru_.va(it->second);
     Pte* e = pt_.Entry(page_va, /*create=*/false);
-    if (e == nullptr || PteTagOf(*e) != PteTag::kLocal || (*e & kPteDirty) == 0 ||
-        (*e & kPteAccessed) != 0) {
+    if ((*e & kPteDirty) == 0 || (*e & kPteAccessed) != 0) {
       it = clean_queue_.erase(it);
       continue;
     }
@@ -752,7 +726,7 @@ void PageManager::BackgroundTick(uint64_t now, uint64_t pinned_va) {
   ScrubTick(now);
 }
 
-uint32_t PageManager::AllocFrame(FaultClock& fc) {
+uint32_t PageManager::AllocFrame(FaultClock& fc, uint64_t page_va) {
   std::optional<uint32_t> fid = pool_.Alloc();
   if (!fid.has_value()) {
     // The background thread fell behind: direct reclaim in the fault path.
@@ -763,8 +737,10 @@ uint32_t PageManager::AllocFrame(FaultClock& fc) {
         // Nothing evictable: the pool is exhausted and every resident page
         // is pinned — or dirty with no replica accepting write-backs, in
         // which case no frame can be freed without discarding a sole copy.
-        // fid.value() below then fails loudly rather than corrupt silently.
-        break;
+        // Fail loudly rather than corrupt silently.
+        std::fprintf(stderr, "DiLOS out of frames at page 0x%llx: all %zu frames unevictable\n",
+                     static_cast<unsigned long long>(page_va), pool_.total());
+        std::abort();
       }
       uint64_t reclaim_ns = kDirectReclaimNs;
       if (stats_.tier_stored_pages != admitted_before) {
@@ -777,7 +753,7 @@ uint32_t PageManager::AllocFrame(FaultClock& fc) {
       fid = pool_.Alloc();
     }
   }
-  return fid.value();
+  return *fid;
 }
 
 }  // namespace dilos

@@ -7,17 +7,23 @@
 // handler virtually always finds a free frame — reclamation never shows up
 // in the fault path (paper Fig. 6 shows zero reclaim time for DiLOS).
 //
+// The LRU list is frame-indexed (src/pt/frame_lru.h): a resident page's
+// kLocal PTE names its frame, and the frame id is the page's position in
+// the list, its slot in the per-frame state and its key in the cleaner
+// queue. No address-keyed index exists, and a push or an unlink allocates
+// nothing.
+//
 // The cleaner takes the oldest *candidates* — local, dirty and not accessed
-// pages — in LRU order. It finds them through a queue keyed by each page's
-// LRU sequence number, so a tick costs the pages it visits, not the resident
-// set. A page joins the queue wherever it can become a candidate: an LRU
-// push-back with its dirty bit set, the hit tracker clearing the accessed
-// bit of a dirty page (OnAccessCleared), and a quota reclaim re-marking a
-// page dirty. Every other site that sets the dirty bit (the Pin fast path,
-// the fault handler's exit) also sets the accessed bit, so that page becomes
-// a candidate only when the clock's second chance or the hit tracker clears
-// the bit, and both admit it then. The tick drops entries that are no
-// longer candidates.
+// pages — in LRU order. It finds them through a queue from each frame's LRU
+// sequence number to the frame, so a tick costs the pages it visits, not the
+// resident set. A page joins the queue wherever it can become a candidate:
+// an LRU push-back with its dirty bit set, the hit tracker clearing the
+// accessed bit of a dirty page (OnAccessCleared), and a quota reclaim
+// re-marking a page dirty. Every other site that sets the dirty bit (the
+// Pin fast path, the fault handler's exit) also sets the accessed bit, so
+// that page becomes a candidate only when the clock's second chance or the
+// hit tracker clears the bit, and both admit it then. The tick drops entries
+// that are no longer candidates.
 //
 // Guided paging: when a guide supplies per-page live segments (from the
 // allocator's bitmaps), the cleaner writes back only live bytes with one
@@ -29,13 +35,12 @@
 #define DILOS_SRC_DILOS_PAGE_MANAGER_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "src/dilos/guide.h"
 #include "src/dilos/shard.h"
+#include "src/pt/frame_lru.h"
 #include "src/pt/frame_pool.h"
 #include "src/pt/page_table.h"
 #include "src/rdma/queue_pair.h"
@@ -82,14 +87,15 @@ class PageManager {
   // Null disables tenancy (default).
   void set_tenants(TenantRegistry* t) { tenants_ = t; }
 
-  // Registers a page that just became resident (most recently used).
+  // Registers a page whose PTE just became kLocal (most recently used).
   void OnMapped(uint64_t page_va);
   // Drops tracking for a page unmapped outside reclamation, and releases its
-  // action-log slot if a vectored clean recorded one.
+  // action-log slot if a vectored clean recorded one. Called while the
+  // page's PTE still names its frame.
   void OnUnmapped(uint64_t page_va);
-  // The hit tracker cleared the accessed bit of resident `page_va`, leaving
-  // `pte`: a dirty page is now a cleaner candidate.
-  void OnAccessCleared(uint64_t page_va, Pte pte);
+  // The hit tracker cleared the accessed bit of a resident page, leaving
+  // kLocal `pte`: a dirty page is now a cleaner candidate.
+  void OnAccessCleared(Pte pte);
 
   // Background cleaner + reclaimer work at simulated time `now`. CPU time is
   // not charged to any application core (it runs on spare cores); write-back
@@ -100,8 +106,10 @@ class PageManager {
   // Allocates a frame for the fault handler. On the eager-eviction fast path
   // this is a free-list pop; if the pool is exhausted (the background thread
   // fell behind) a direct reclaim runs in the fault path, on `fc` (see
-  // FaultClock::Reclaim).
-  uint32_t AllocFrame(FaultClock& fc);
+  // FaultClock::Reclaim). With nothing evictable (every frame pinned, or
+  // dirty with no replica accepting write-backs) it aborts, naming the
+  // faulting `page_va`.
+  uint32_t AllocFrame(FaultClock& fc, uint64_t page_va);
 
   // Action-log access for the runtime's action-PTE fault path.
   const std::vector<PageSegment>* ActionSegments(uint64_t log_idx) const;
@@ -129,19 +137,22 @@ class PageManager {
   // One clock-algorithm step; returns true if a page was evicted.
   bool EvictOne(uint64_t now, uint64_t pinned_va = UINT64_MAX);
 
-  // One resident page in LRU order. `seq` rises with every push-back, so it
-  // orders the cleaner queue exactly as the LRU list.
-  struct LruNode {
-    uint64_t va;
-    uint64_t seq;
+  // Out of the action log's range, so ReleaseAction(kNoAction) is a no-op.
+  static constexpr uint64_t kNoAction = UINT64_MAX;
+  // What the manager keeps per frame about the resident page it holds.
+  struct FrameState {
+    // Stamp of the frame's latest LRU push-back. It rises with every
+    // push-back, so it orders the cleaner queue exactly as the LRU list.
+    uint64_t seq = 0;
+    // Action-log index of the live extents a vectored clean wrote back, so
+    // eviction produces an action PTE; kNoAction if none.
+    uint64_t action = kNoAction;
   };
-  using LruList = std::list<LruNode>;
-  using LruIndex = std::unordered_map<uint64_t, LruList::iterator>;
-  // Appends `page_va`, whose PTE is `pte`, at the LRU tail under a fresh
-  // sequence number; a dirty page joins the cleaner queue there.
-  void PushLru(uint64_t page_va, Pte pte);
-  // Removes a page from the LRU list, its index and the cleaner queue.
-  void Unlink(LruIndex::iterator w);
+  // Appends `frame`, holding `page_va` whose PTE is `pte`, at the LRU tail
+  // under a fresh sequence number; a dirty page joins the cleaner queue there.
+  void PushLru(uint32_t frame, uint64_t page_va, Pte pte);
+  // Removes `frame` from the LRU list and the cleaner queue.
+  void Unlink(uint32_t frame);
 
   // Quota admission for a full write-back of `page_va`: true when the page
   // is already charged, untenanted, within quota, or room was reclaimed
@@ -207,17 +218,16 @@ class PageManager {
   std::vector<int> reclaim_nodes_;     // Scratch for quota-reclaim replica drops.
 
   // LRU order: front = oldest. The clock hand sweeps from the front.
-  LruList lru_;
-  LruIndex where_;
+  FrameLru lru_;
+  std::vector<FrameState> frames_;  // Indexed by frame id.
   uint64_t lru_seq_ = 0;
-  // Cleaner queue: LRU sequence number -> page. It holds every candidate at
+  // Cleaner queue: LRU sequence number -> frame. It holds every candidate at
   // its current sequence number, possibly beside pages that stopped being
-  // one, and never a page that left lru_.
-  std::map<uint64_t, uint64_t> clean_queue_;
-
-  // Pages cleaned via a vectorized write: page_va -> action-log index whose
-  // segments describe the valid bytes on the memory node.
-  std::unordered_map<uint64_t, uint64_t> vector_cleaned_;
+  // one, and never a frame that left lru_. An ordered map, not a per-frame
+  // flag or a heap: OnAccessCleared and ReclaimTenantRemote admit a page at
+  // its old sequence number, and a tick's in-order walk must not visit what
+  // ReclaimTenantRemote inserts below its cursor mid-tick.
+  std::map<uint64_t, uint32_t> clean_queue_;
 
   std::vector<std::vector<PageSegment>> action_log_;
   std::vector<uint64_t> action_free_;

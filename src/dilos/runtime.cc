@@ -793,7 +793,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       // Anonymous first touch: allocate a zero frame, no network.
       stats_.zero_fill_faults++;
       tracer_.Record(clk.now(), TraceEvent::kZeroFill, page_va);
-      uint32_t frame = pm_.AllocFrame(fc);
+      uint32_t frame = pm_.AllocFrame(fc, page_va);
       std::memset(pool_.Data(frame), 0, kPageSize);
       *pt_.Entry(page_va, true) =
           MakeLocalPte(frame, true) | kPteAccessed | kPteDirty;  // Content exists only locally.
@@ -859,7 +859,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       stats_.major_faults++;
       tracer_.Record(clk.now(), TraceEvent::kActionFetch, page_va);
       uint64_t log_idx = PtePayload(*e);
-      uint32_t frame = pm_.AllocFrame(fc);
+      uint32_t frame = pm_.AllocFrame(fc, page_va);
       // Looked up after the frame is allocated: direct reclaim may evict
       // through an action slot, and growing the action log moves the lists.
       const std::vector<PageSegment>* segs = pm_.ActionSegments(log_idx);
@@ -890,7 +890,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       // RDMA round trip; that gap is the tier's entire point.
       stats_.minor_faults++;
       stats_.tier_hits++;
-      uint32_t frame = pm_.AllocFrame(fc);
+      uint32_t frame = pm_.AllocFrame(fc, page_va);
       bool was_dirty = false;
       bool present = tier_ != nullptr && tier_->Contains(page_va);
       if (tier_ == nullptr || !tier_->Take(page_va, pool_.Data(frame), &was_dirty)) {
@@ -940,7 +940,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         hotness_->OnDemandFault(page_va);  // Granule heat for the auto-migrator.
       }
       tracer_.Record(clk.now(), TraceEvent::kMajorFault, page_va);
-      uint32_t frame = pm_.AllocFrame(fc);
+      uint32_t frame = pm_.AllocFrame(fc, page_va);
       uint64_t cursor = clk.now();
       Completion c =
           DemandFetch(page_va, pool_.Addr(frame), nullptr, core, CommChannel::kFault, &cursor);
@@ -981,7 +981,7 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
         RuntimeGuideContext ctx(*this, core, clk.now());
         guide_->OnFault(ctx, vaddr, write);
       }
-      tracker_.Scan(pt_, [this](uint64_t va, Pte pte) { pm_.OnAccessCleared(va, pte); });
+      tracker_.Scan(pt_, [this](uint64_t, Pte pte) { pm_.OnAccessCleared(pte); });
       fc.Advance(cost_.dilos_hit_tracker_ns, LatComp::kPrefetch);
       FaultInfo info{vaddr, write, /*major=*/true, tracker_.hit_ratio()};
       RunPrefetcher(info, core);

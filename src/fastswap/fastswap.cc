@@ -1,5 +1,7 @@
 #include "src/fastswap/fastswap.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace dilos {
@@ -19,7 +21,9 @@ FastswapRuntime::FastswapRuntime(Fabric& fabric, FastswapConfig cfg)
       cost_(fabric.cost()),
       pool_(cfg.local_mem_bytes / kPageSize),
       clocks_(static_cast<size_t>(cfg.num_cores), FaultClock(stats_.fault_breakdown, nullptr)),
-      qp_(fabric.CreateQp()) {}
+      qp_(fabric.CreateQp()),
+      cache_lru_(pool_.total()),
+      lru_(pool_.total()) {}
 
 uint64_t FastswapRuntime::AllocRegion(uint64_t bytes) {
   uint64_t base = next_region_;
@@ -34,24 +38,17 @@ void FastswapRuntime::FreeRegion(uint64_t addr, uint64_t bytes) {
     auto cached = swap_cache_.find(page_va);
     if (cached != swap_cache_.end()) {
       pool_.Free(cached->second.frame);
+      cache_lru_.Erase(cached->second.frame);
       swap_cache_.erase(cached);
-      auto w = cache_where_.find(page_va);
-      if (w != cache_where_.end()) {
-        cache_lru_.erase(w->second);
-        cache_where_.erase(w);
-      }
     }
     Pte* e = pt_.Entry(page_va, /*create=*/false);
     if (e == nullptr) {
       continue;
     }
     if (PteTagOf(*e) == PteTag::kLocal) {
-      pool_.Free(static_cast<uint32_t>(PtePayload(*e & ~(kPteAccessed | kPteDirty))));
-      auto it = where_.find(page_va);
-      if (it != where_.end()) {
-        lru_.erase(it->second);
-        where_.erase(it);
-      }
+      uint32_t frame = static_cast<uint32_t>(PtePayload(*e));
+      pool_.Free(frame);
+      lru_.Erase(frame);
     }
     *e = 0;
   }
@@ -60,33 +57,22 @@ void FastswapRuntime::FreeRegion(uint64_t addr, uint64_t bytes) {
 void FastswapRuntime::MapFrame(uint64_t page_va, uint32_t frame, bool write) {
   *pt_.Entry(page_va, true) =
       MakeLocalPte(frame, true) | kPteAccessed | (write ? kPteDirty : 0);
-  auto it = where_.find(page_va);
-  if (it != where_.end()) {
-    lru_.erase(it->second);
-    where_.erase(it);
-  }
-  lru_.push_back(page_va);
-  where_[page_va] = std::prev(lru_.end());
+  lru_.PushBack(frame, page_va);
 }
 
 bool FastswapRuntime::EvictOne(FaultClock& fc, bool charged) {
   // Sweep mapped pages with second chance (the inactive list analogue).
   size_t limit = lru_.size() * 2 + 1;
-  for (size_t scanned = 0; scanned < limit && !lru_.empty(); ++scanned) {
-    uint64_t page_va = lru_.front();
-    lru_.pop_front();
-    where_.erase(page_va);
+  for (size_t scanned = 0; scanned < limit && lru_.size() > 0; ++scanned) {
+    uint32_t frame = lru_.front();
+    uint64_t page_va = lru_.va(frame);
+    lru_.Erase(frame);
     Pte* e = pt_.Entry(page_va, /*create=*/false);
-    if (e == nullptr || PteTagOf(*e) != PteTag::kLocal) {
-      continue;
-    }
     if (*e & kPteAccessed) {
       *e &= ~kPteAccessed;
-      lru_.push_back(page_va);
-      where_[page_va] = std::prev(lru_.end());
+      lru_.PushBack(frame, page_va);
       continue;
     }
-    uint32_t frame = static_cast<uint32_t>(PtePayload(*e));
     bool dirty = (*e & kPteDirty) != 0;
     if (charged) {
       fc.Advance(cost_.fsw_direct_reclaim_ns, LatComp::kReclaim);
@@ -112,16 +98,11 @@ bool FastswapRuntime::EvictOne(FaultClock& fc, bool charged) {
     return true;
   }
   // Fallback: drop a clean, never-touched swap-cache fill.
-  while (!cache_lru_.empty()) {
-    uint64_t page_va = cache_lru_.front();
-    cache_lru_.pop_front();
-    cache_where_.erase(page_va);
-    auto it = swap_cache_.find(page_va);
-    if (it == swap_cache_.end()) {
-      continue;
-    }
-    pool_.Free(it->second.frame);
-    swap_cache_.erase(it);
+  if (cache_lru_.size() > 0) {
+    uint32_t frame = cache_lru_.front();
+    swap_cache_.erase(cache_lru_.va(frame));
+    cache_lru_.Erase(frame);
+    pool_.Free(frame);
     stats_.evictions++;
     ra_dropped_++;
     if (charged) {
@@ -178,6 +159,16 @@ std::optional<uint32_t> FastswapRuntime::EnsureFrame(FaultClock& fc) {
   return fid;
 }
 
+uint32_t FastswapRuntime::FaultFrame(uint64_t page_va, FaultClock& fc) {
+  std::optional<uint32_t> fid = EnsureFrame(fc);
+  if (!fid.has_value()) {
+    std::fprintf(stderr, "Fastswap out of frames at page 0x%llx: all %zu frames unevictable\n",
+                 static_cast<unsigned long long>(page_va), pool_.total());
+    std::abort();
+  }
+  return *fid;
+}
+
 void FastswapRuntime::Readahead(uint64_t fault_page, FaultClock& fc) {
   if (!cfg_.readahead_enabled) {
     return;
@@ -210,8 +201,7 @@ void FastswapRuntime::Readahead(uint64_t fault_page, FaultClock& fc) {
     stats_.prefetch_issued++;
     stats_.bytes_fetched += kPageSize;
     swap_cache_[page_va] = CacheEntry{*fid, c.completion_time_ns};
-    cache_lru_.push_back(page_va);
-    cache_where_[page_va] = std::prev(cache_lru_.end());
+    cache_lru_.PushBack(*fid, page_va);
   }
 }
 
@@ -250,11 +240,7 @@ uint8_t* FastswapRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, 
     clk.Advance(cost_.fsw_minor_fault_sw_ns);
     clk.AdvanceTo(cached->second.done_ns);
     uint32_t frame = cached->second.frame;
-    auto w = cache_where_.find(page_va);
-    if (w != cache_where_.end()) {
-      cache_lru_.erase(w->second);
-      cache_where_.erase(w);
-    }
+    cache_lru_.Erase(frame);
     swap_cache_.erase(cached);
     MapFrame(page_va, frame, write);
     clk.Advance(cost_.map_tlb_flush_ns);
@@ -269,7 +255,7 @@ uint8_t* FastswapRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, 
   if (tag == PteTag::kEmpty) {
     // Anonymous zero-fill, no swap entry yet.
     stats_.zero_fill_faults++;
-    uint32_t frame = EnsureFrame(fc).value();
+    uint32_t frame = FaultFrame(page_va, fc);
     std::memset(pool_.Data(frame), 0, kPageSize);
     clk.Advance(cost_.zero_fill_ns);
     MapFrame(page_va, frame, /*write=*/true);  // Content exists only locally.
@@ -279,7 +265,7 @@ uint8_t* FastswapRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, 
   // Major fault through the swap subsystem.
   stats_.major_faults++;
   fc.Advance(cost_.fsw_swap_entry_ns, LatComp::kSwapEntry);
-  uint32_t frame = EnsureFrame(fc).value();
+  uint32_t frame = FaultFrame(page_va, fc);
   fc.Advance(cost_.fsw_page_alloc_ns, LatComp::kPageAlloc);
   fc.Advance(cost_.fsw_swapcache_mgmt_ns, LatComp::kSwapCacheMgmt);
 

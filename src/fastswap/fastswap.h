@@ -12,6 +12,11 @@
 //    dirty victim's write-back is waited on in-path.
 //  * One shared queue pair (the kernel swap path), so demand fetches queue
 //    behind readahead traffic.
+//  * Per-frame LRU links, as in each frame's `struct page`: the mapped-page
+//    list and the swap-cache drop list are FrameLrus (src/pt/frame_lru.h)
+//    over the frame a kLocal PTE or a swap-cache entry names. The swap cache
+//    itself stays a separate index keyed by address, the structure DiLOS's
+//    PTE tags replace.
 //
 // Implements the same FarRuntime interface as DiLOS: identical application
 // code runs on both.
@@ -20,12 +25,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/memnode/fabric.h"
+#include "src/pt/frame_lru.h"
 #include "src/pt/frame_pool.h"
 #include "src/pt/page_table.h"
 #include "src/sim/far_runtime.h"
@@ -66,6 +71,9 @@ class FastswapRuntime : public FarRuntime {
   // Gets a frame, reclaiming if needed. Direct reclaim charges `fc`.
   // Nullopt only if the pool is exhausted and nothing is evictable.
   std::optional<uint32_t> EnsureFrame(FaultClock& fc);
+  // EnsureFrame for a fault on `page_va`, which cannot go on without a
+  // frame: with nothing evictable it aborts, naming the page.
+  uint32_t FaultFrame(uint64_t page_va, FaultClock& fc);
   // Evicts one page (or drops one clean swap-cache entry). If `charged`,
   // the software cost lands on `fc`. A dirty victim's frame only becomes
   // reusable once its synchronous swap-out write completes (frontswap
@@ -85,11 +93,8 @@ class FastswapRuntime : public FarRuntime {
   QueuePair* qp_;  // The single kernel swap queue.
 
   std::unordered_map<uint64_t, CacheEntry> swap_cache_;  // Unmapped, filled pages.
-  std::list<uint64_t> cache_lru_;                        // Swap-cache drop order.
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> cache_where_;
-
-  std::list<uint64_t> lru_;  // Mapped pages, front = oldest.
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> where_;
+  FrameLru cache_lru_;  // Swap-cache fills in drop order, front = oldest.
+  FrameLru lru_;        // Mapped pages, front = oldest.
 
   // Evicted-but-write-in-flight frames, ordered by readiness (QP completion
   // order is monotonic, so push order is sorted).

@@ -1,6 +1,9 @@
 // Tests for the Fastswap baseline: swap-cache mechanics, the Table-1
-// major/minor fault arithmetic, direct reclamation, and data integrity.
+// major/minor fault arithmetic, direct reclamation, data integrity, and the
+// abort when no frame can be freed.
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 #include "src/fastswap/fastswap.h"
 
@@ -163,6 +166,18 @@ TEST(Fastswap, ZeroFillNeedsNoNetwork) {
   EXPECT_EQ(rt.Read<uint64_t>(region), 0u);
   EXPECT_EQ(rt.stats().bytes_fetched, 0u);
   EXPECT_EQ(rt.stats().zero_fill_faults, 1u);
+}
+
+TEST(FastswapDeathTest, OutOfFramesAbortsNamingThePage) {
+  // With no local memory the first fault finds no frame and nothing to evict.
+  Fabric fabric;
+  FastswapRuntime rt(fabric, SmallConfig(0));
+  uint64_t region = rt.AllocRegion(8 * 4096);
+  char expected[96];
+  std::snprintf(expected, sizeof(expected),
+                "Fastswap out of frames at page 0x%llx: all 0 frames unevictable",
+                static_cast<unsigned long long>(region + 4096));
+  EXPECT_DEATH(rt.Write<uint64_t>(region + 4096, 1), expected);
 }
 
 }  // namespace

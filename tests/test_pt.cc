@@ -1,11 +1,13 @@
 // Tests for the unified page table: PTE tag encoding, 4-level walk, frame
-// pool, and the PTE hit tracker.
+// pool, the frame-indexed LRU, and the PTE hit tracker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "src/memnode/page_arena.h"
+#include "src/pt/frame_lru.h"
 #include "src/pt/frame_pool.h"
 #include "src/pt/hit_tracker.h"
 #include "src/pt/page_table.h"
@@ -142,6 +144,67 @@ TEST(FramePool, FramesAreDistinctAlignedAndZeroBeforeFirstWrite) {
     pool.Data(*fid)[kPageSize - 1] = 0xEE;
   }
   EXPECT_EQ(addrs.size(), pool.total());
+}
+
+// The queued frames, walked from front() through next(): oldest first.
+std::vector<uint32_t> Order(const FrameLru& lru) {
+  std::vector<uint32_t> frames;
+  for (uint32_t f = lru.front(); f != FrameLru::kNone; f = lru.next(f)) {
+    frames.push_back(f);
+  }
+  return frames;
+}
+
+TEST(FrameLru, WalkKeepsPushOrderAcrossHeadMiddleAndTailErases) {
+  FrameLru lru(8);
+  for (uint32_t f : {5u, 2u, 7u, 0u, 3u}) {
+    lru.PushBack(f, (f + 1) * kPageSize);
+  }
+  EXPECT_EQ(Order(lru), (std::vector<uint32_t>{5, 2, 7, 0, 3}));
+  EXPECT_EQ(lru.size(), 5u);
+  lru.Erase(5);  // Head.
+  EXPECT_EQ(Order(lru), (std::vector<uint32_t>{2, 7, 0, 3}));
+  EXPECT_EQ(lru.size(), 4u);
+  lru.Erase(0);  // Middle.
+  EXPECT_EQ(Order(lru), (std::vector<uint32_t>{2, 7, 3}));
+  EXPECT_EQ(lru.size(), 3u);
+  lru.Erase(3);  // Tail.
+  EXPECT_EQ(Order(lru), (std::vector<uint32_t>{2, 7}));
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.va(2), 3 * kPageSize);
+  EXPECT_EQ(lru.va(7), 8 * kPageSize);
+}
+
+TEST(FrameLru, ReQueuedFrameLandsAtTheTailWithItsNewVa) {
+  FrameLru lru(4);
+  lru.PushBack(0, 0xA000);
+  lru.PushBack(1, 0xB000);
+  lru.PushBack(2, 0xC000);
+  lru.Erase(1);
+  lru.PushBack(1, 0xD000);
+  EXPECT_EQ(Order(lru), (std::vector<uint32_t>{0, 2, 1}));
+  EXPECT_EQ(lru.va(1), 0xD000u);
+  EXPECT_EQ(lru.size(), 3u);
+  lru.Erase(0);  // The clock's second chance: the head rotates to the tail.
+  lru.PushBack(0, 0xA000);
+  EXPECT_EQ(Order(lru), (std::vector<uint32_t>{2, 1, 0}));
+  EXPECT_EQ(lru.size(), 3u);
+}
+
+TEST(FrameLru, EmptiedQueueTakesNewPushes) {
+  FrameLru lru(3);
+  EXPECT_EQ(lru.front(), FrameLru::kNone);
+  lru.PushBack(1, 0x1000);
+  lru.PushBack(2, 0x2000);
+  lru.Erase(1);
+  lru.Erase(2);
+  EXPECT_EQ(lru.front(), FrameLru::kNone);
+  EXPECT_EQ(lru.size(), 0u);
+  lru.PushBack(2, 0x3000);
+  lru.PushBack(0, 0x4000);
+  EXPECT_EQ(Order(lru), (std::vector<uint32_t>{2, 0}));
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.va(2), 0x3000u);
 }
 
 TEST(HitTracker, AllHitsGivesRatioOne) {

@@ -6,46 +6,18 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "src/memnode/fabric.h"
 #include "src/memnode/memory_node.h"
 #include "src/memnode/page_arena.h"
 #include "src/rdma/link.h"
 #include "src/rdma/queue_pair.h"
+#include "tests/alloc_count.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
 #endif
-
-// Every global allocation in this binary is counted, so a test can bound the
-// allocations an operation makes. The binary is single-threaded. None of the
-// replacements is inlined: GCC would otherwise see malloc() paired with
-// operator delete, or operator new with free(), at the call sites and warn
-// (-Wmismatched-new-delete) about the replacement itself.
-namespace {
-uint64_t g_allocations = 0;
-
-void* CountedAlloc(std::size_t n) {
-  ++g_allocations;
-  return std::malloc(n == 0 ? 1 : n);
-}
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  if (void* p = CountedAlloc(n)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return CountedAlloc(n);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace dilos {
 namespace {

@@ -1,8 +1,10 @@
 // Edge-case tests for the DiLOS runtime: region teardown with in-flight
 // IO, guide/replication interplay, shared-queue mode correctness, zero-byte
-// and boundary accesses, and stats consistency after mixed activity.
+// and boundary accesses, stats consistency after mixed activity, and the
+// abort when no frame can be freed.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 
 #include "src/dilos/readahead.h"
@@ -171,6 +173,30 @@ TEST(RuntimeEdge, ActionFaultUnderDirectReclaimReadsItsOwnSegments) {
   ASSERT_EQ(second.size(), 1u);
   EXPECT_NE(second[0], first[0]);
   EXPECT_EQ(rt.Read<uint64_t>(region + second[0] * kPageSize), second[0] * 13 + 7);
+}
+
+TEST(RuntimeEdgeDeathTest, OutOfFramesAbortsNamingThePage) {
+  // The only memory node is down, so no write-back lands and a dirty page
+  // can never leave its frame: the ninth page written finds all eight
+  // frames unevictable.
+  Fabric fabric;
+  fabric.CrashNode(0);
+  DilosConfig cfg;
+  cfg.local_mem_bytes = 8 * kPageSize;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  const uint64_t pages = 64;
+  uint64_t region = rt.AllocRegion(pages * kPageSize);
+  char expected[96];
+  std::snprintf(expected, sizeof(expected),
+                "DiLOS out of frames at page 0x%llx: all 8 frames unevictable",
+                static_cast<unsigned long long>(region + 8 * kPageSize));
+  EXPECT_DEATH(
+      {
+        for (uint64_t p = 0; p < pages; ++p) {
+          rt.Write<uint64_t>(region + p * kPageSize, p);
+        }
+      },
+      expected);
 }
 
 TEST(RuntimeEdge, SingleByteAndFullPagePins) {

@@ -1,7 +1,8 @@
 // Second batch of focused unit tests: dict incremental rehashing, Zipfian
 // benchmark driver, Fastswap's adaptive readahead, page-manager internals,
-// graph algorithms against hand-computed references, dataframe operations
-// against host-side recomputation, and quicksort adversarial inputs.
+// heap allocations per steady-state fault on both paged runtimes, graph
+// algorithms against hand-computed references, dataframe operations against
+// host-side recomputation, and quicksort adversarial inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,8 @@
 #include "src/redis/dict.h"
 #include "src/redis/redis.h"
 #include "src/redis/redis_bench.h"
+#include "src/sim/rng.h"
+#include "tests/alloc_count.h"
 
 namespace dilos {
 namespace {
@@ -211,7 +214,7 @@ void ClearAccessed(DilosRuntime& rt, uint64_t region, uint64_t pages) {
     uint64_t va = region + p * kPageSize;
     Pte* e = rt.page_table().Entry(va, /*create=*/false);
     *e &= ~kPteAccessed;
-    rt.page_manager().OnAccessCleared(va, *e);
+    rt.page_manager().OnAccessCleared(*e);
   }
 }
 
@@ -372,6 +375,60 @@ TEST(PageManagerUnit, FreeRegionReleasesVectorCleanedActionSlots) {
   ASSERT_GT(rt.stats().vectored_ops, 0u) << "the guide must force the vectored path";
   EXPECT_EQ(slots.back(), slots.front()) << "the action log grew by "
                                          << slots.back() - slots.front() << " slots";
+}
+
+// ------------------------------------------------- Steady-state allocations --
+
+// The one allocation a steady-state fault may still make: the link's rx and
+// tx meters grow their bucket vectors once per 100 ms of simulated traffic.
+size_t MeterBuckets(Fabric& fabric) {
+  return fabric.link().rx().buckets().size() + fabric.link().tx().buckets().size();
+}
+
+// Writes a 16 MB region through 4 MB of local memory, warms up with 20,000
+// uniform 8-byte reads, then counts the heap allocations of 10,000 more.
+void ExpectSteadyStateFaultsAllocateNothing(FarRuntime& rt, Fabric& fabric) {
+  const uint64_t pages = (16 << 20) / kPageSize;
+  uint64_t region = rt.AllocRegion(pages * kPageSize);
+  for (uint64_t p = 0; p < pages; ++p) {
+    rt.Write<uint64_t>(region + p * kPageSize, p);
+  }
+  Rng rng(25);
+  uint64_t wrong = 0;
+  auto read_some = [&](int reads) {
+    for (int i = 0; i < reads; ++i) {
+      uint64_t p = rng.NextBelow(pages);
+      wrong += rt.Read<uint64_t>(region + p * kPageSize) != p ? 1 : 0;
+    }
+  };
+  read_some(20'000);
+  const uint64_t faults = rt.stats().major_faults;
+  const size_t buckets = MeterBuckets(fabric);
+  const uint64_t allocations = g_allocations;
+  read_some(10'000);
+  const uint64_t made = g_allocations - allocations;
+  const uint64_t window_faults = rt.stats().major_faults - faults;
+  ASSERT_EQ(wrong, 0u);
+  ASSERT_GT(window_faults, 5'000u) << "the window must fault, not hit";
+  EXPECT_LE(made, MeterBuckets(fabric) - buckets)
+      << made << " allocations over " << window_faults << " faults";
+}
+
+TEST(DilosAllocations, SteadyStateFaultsAllocateNothing) {
+  Fabric fabric;
+  DilosConfig cfg;
+  cfg.local_mem_bytes = 4 << 20;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  ExpectSteadyStateFaultsAllocateNothing(rt, fabric);
+}
+
+TEST(FastswapAllocations, SteadyStateFaultsAllocateNothing) {
+  Fabric fabric;
+  FastswapConfig cfg;
+  cfg.local_mem_bytes = 4 << 20;
+  cfg.readahead_enabled = false;
+  FastswapRuntime rt(fabric, cfg);
+  ExpectSteadyStateFaultsAllocateNothing(rt, fabric);
 }
 
 // ------------------------------------------------------------------ Graph --
